@@ -791,7 +791,11 @@ def run_check(
     mult: Optional[tuple[int, ...]] = None,
 ) -> CheckReport:
     """Run a named check over `trials` random points and merge the reports."""
+    if trials < 1 or n < 1:
+        raise ValueError(f"need trials >= 1 and n >= 1, got trials={trials}, n={n}")
     trunc = FockTruncation(fock_dim)
+    if kind in ("rtt", "zf", "hat") and trunc.safe_window(2) < 1:
+        raise ValueError(f"fock_dim {fock_dim} leaves no truncation-free level; need >= 4")
     reports: list[CheckReport] = []
     if kind == "ybe":
         for x, y, _ in _draw_points(seed, trials, False):
@@ -841,7 +845,7 @@ def run_check(
         name=kind,
         passed=all(r.passed for r in reports),
         params={**reports[-1].params, "coverage": coverage},
-        trials=len(reports),
+        trials=sum(r.trials for r in reports),
         witnesses=[w for r in reports for w in r.witnesses][:10],
         degree_bound=bound,
         notes=notes,

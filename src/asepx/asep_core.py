@@ -3,8 +3,8 @@
 Configurations are tuples of site values in {0..n}; the Markov matrix
 acts within each sector of fixed particle content.  The stationary
 vector is computed by exact Gaussian elimination over the field of
-rational functions in t and canonically normalized to an integer
-polynomial vector of content 1.
+rational functions in t, on the quotient by cyclic shifts, and
+canonically normalized to an integer polynomial vector of content 1.
 
 A continuous-time simulator with exponential waiting times serves as a
 statistical oracle for the exact results.
@@ -112,6 +112,16 @@ def cyclic_shift(c: Config) -> Config:
     return (c[-1],) + c[:-1]
 
 
+def cyclic_orbit_reps(configs: Iterable[Config]) -> dict[Config, Config]:
+    """Each configuration's cyclic-orbit representative, its smallest rotation."""
+    rep_of: dict[Config, Config] = {}
+    for sigma in configs:
+        if sigma not in rep_of:
+            orbit = {sigma[i:] + sigma[:i] for i in range(len(sigma))}
+            rep_of.update(dict.fromkeys(orbit, min(orbit)))
+    return rep_of
+
+
 def local_markov(n: int) -> list[list[Poly]]:
     """Dense two-site generator on the basis |a,b> ordered lexicographically.
 
@@ -190,12 +200,6 @@ def markov_sector(m: Multiplicity, basis: Optional[SectorBasis] = None) -> Spars
 # ---------------------------------------------------------------------------
 # exact kernel solver
 
-#: above this sector dimension the solver works on the cyclic-orbit
-#: quotient (stationary vectors are translation invariant) and then
-#: certifies H v = 0 exactly on the full sector
-_FULL_SOLVE_LIMIT = 48
-
-
 def _kernel_vector(rows: list[dict[int, RatFunc]], dim: int) -> list[RatFunc]:
     """Unique (up to scale) kernel vector of the row system, else KernelError.
 
@@ -268,29 +272,11 @@ def _kernel_vector(rows: list[dict[int, RatFunc]], dim: int) -> list[RatFunc]:
     return vec
 
 
-def _rows_of(mat: SparseMatrixRF) -> list[dict[int, RatFunc]]:
-    rows: list[dict[int, RatFunc]] = [dict() for _ in range(mat.dim)]
-    for (r, c), v in mat.entries.items():
-        rows[r][c] = v
-    return rows
-
-
 def _orbit_reduced_kernel(
     mat: SparseMatrixRF, basis: SectorBasis
 ) -> list[RatFunc]:
     """Solve on the cyclic-orbit quotient and expand to the full sector."""
-    rep_of: dict[Config, Config] = {}
-    for sigma in basis.configs:
-        if sigma in rep_of:
-            continue
-        orbit = set()
-        cur = sigma
-        while cur not in orbit:
-            orbit.add(cur)
-            cur = cyclic_shift(cur)
-        rep = min(orbit)
-        for member in orbit:
-            rep_of[member] = rep
+    rep_of = cyclic_orbit_reps(basis.configs)
     reps = sorted(set(rep_of.values()))
     rep_index = {r: i for i, r in enumerate(reps)}
 
@@ -366,20 +352,17 @@ def canonicalize_values(
 def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     """The unique stationary vector of the sector, canonically normalized.
 
-    Exact Gaussian elimination over the rational-function field; large
-    sectors are first reduced by translation invariance and the result
-    is certified by an exact H v = 0 check on the full sector.
+    Exact Gaussian elimination over the rational-function field on the
+    cyclic-orbit quotient, certified by an exact H v = 0 check on the
+    full sector.
     """
     basis = SectorBasis(m)
     mat = markov_sector(m, basis)
     if basis.dim == 1:
         return {basis.configs[0]: P_ONE}
-    if basis.dim <= _FULL_SOLVE_LIMIT:
-        vec = _kernel_vector(_rows_of(mat), basis.dim)
-    else:
-        vec = _orbit_reduced_kernel(mat, basis)
-        if not _residual_is_zero(mat, vec):
-            raise KernelError("orbit-reduced solution failed exact residual check")
+    vec = _orbit_reduced_kernel(mat, basis)
+    if not _residual_is_zero(mat, vec):
+        raise KernelError("orbit-reduced solution failed exact residual check")
     values = dict(zip(basis.configs, vec))
     return canonicalize_values(basis, values)
 

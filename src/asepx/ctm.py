@@ -3,7 +3,10 @@
 The layer operator for local state alpha is a finite sum of terms
 (z-degree, oscillator word per Fock mode), built by the rank recursion
 from a column operator T.  Stationary probabilities are traces of layer
-products over all modes, evaluated in closed form at q = 1.
+products over all modes, evaluated in closed form at q = 1.  A trace is
+invariant under cyclic shift, so a sector's traces are taken once per
+cyclic orbit; each is summed over one common denominator, a product of
+factors (1 - t^j) known from the closed forms, and reduced once.
 
 Mode numbering: the rightmost column of the rank-n operator uses modes
 1..n-1; the embedded rank-(n-1) operator uses the higher mode labels.
@@ -11,12 +14,14 @@ Mode numbering: the rightmost column of the rank-n operator uses modes
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .asep_core import Config, Multiplicity, SectorBasis, canonicalize_values
+from .asep_core import (Config, Multiplicity, SectorBasis, canonicalize_values,
+                        cyclic_orbit_reps)
 from .mlq import SectorVector
 from .oscillator import (
     AMINUS,
@@ -28,7 +33,7 @@ from .oscillator import (
     apply_word_to_level,
     trace_pem,
 )
-from .scalar import P_ONE, Poly, RatFunc, RF_ZERO
+from .scalar import P_ONE, P_ZERO, Poly, RatFunc, RF_ZERO, one_minus_qtk
 
 ModeWords = tuple[tuple[int, OscWord], ...]
 
@@ -220,13 +225,12 @@ def _pem_mul_word(pem: PEM, word: OscWord) -> list[tuple[PEM, Poly]]:
     return items
 
 
-def mp_trace(sigma: Config, z0: Fraction = Fraction(1)) -> RatFunc:
-    """Unnormalized stationary probability tr(X_{s_1} ... X_{s_L}) at q = 1.
+def _balanced_terms(sigma: Config, z0: Fraction) -> dict[tuple[PEM, ...], Poly]:
+    """The layer product X_{s_1} ... X_{s_L} as {normal monomial per mode: coeff}.
 
-    The layer product is expanded site by site over normal-ordered mode
-    monomials, pruning any partial product whose per-mode ladder
-    imbalance cannot return to zero; the trace then factorizes over the
-    modes into closed-form geometric sums.
+    The product is expanded site by site, pruning any partial product
+    whose per-mode ladder imbalance cannot return to zero, so only
+    balanced monomials (p == m in every mode) survive.
     """
     n = max(sigma)
     if n < 1:
@@ -276,11 +280,24 @@ def mp_trace(sigma: Config, z0: Fraction = Fraction(1)) -> RatFunc:
                     elif cur is not None:
                         del nxt[nkey]
         partial = nxt
+    return partial
 
-    total = RF_ZERO
+
+def mp_trace(sigma: Config, z0: Fraction = Fraction(1)) -> RatFunc:
+    """Unnormalized stationary probability tr(X_{s_1} ... X_{s_L}) at q = 1.
+
+    The trace of each balanced monomial of the layer product factorizes
+    over the modes into closed forms `trace_pem(p, e, 1)`, whose
+    denominators divide prod_{k=0..p} (1 - t^{e+k}).  The monomials are
+    summed over one common denominator D = prod_j (1 - t^j)^{n_j}, n_j
+    the largest multiplicity of factor j over the monomials, and the sum
+    is reduced once.
+    """
     one = Fraction(1)
-    for key, coeff in partial.items():
-        value = RatFunc(coeff)
+    by_den: dict[Poly, Poly] = {}
+    need: Counter[int] = Counter()
+    for key, coeff in _balanced_terms(sigma, z0).items():
+        num, den, formal = coeff, P_ONE, Counter()
         for (p, e, m) in key:
             if p != m:
                 raise AssertionError("unbalanced key escaped pruning")
@@ -288,17 +305,31 @@ def mp_trace(sigma: Config, z0: Fraction = Fraction(1)) -> RatFunc:
                 raise DivergentTraceError(
                     "divergent trace: non-basic sector or internal error"
                 )
-            value = value * trace_pem(p, e, one)
-        total = total + value
-    return total
+            tr = trace_pem(p, e, one)
+            num, den = num * tr.num, den * tr.den
+            formal.update(range(e, e + p + 1))
+        by_den[den] = by_den.get(den, P_ZERO) + num
+        need |= formal
+    common = P_ONE
+    for j, c in need.items():
+        common = common * one_minus_qtk(one, j) ** c
+    total = P_ZERO
+    for den, num in by_den.items():
+        cofactor, rem = common.divmod(den)
+        if rem:
+            raise AssertionError("trace denominator does not divide the common one")
+        total = total + num * cofactor
+    return RatFunc(total, common)
 
 
 def mp_stationary(m: Multiplicity) -> SectorVector:
-    """Matrix-product stationary vector, canonically normalized."""
+    """Matrix-product stationary vector, canonically normalized; one trace per orbit."""
     if not m.is_basic:
         raise ValueError("sector must be basic")
     basis = SectorBasis(m)
-    raw = {sigma: mp_trace(sigma) for sigma in basis.configs}
+    rep_of = cyclic_orbit_reps(basis.configs)
+    traces = {rep: mp_trace(rep) for rep in sorted(set(rep_of.values()))}
+    raw = {sigma: traces[rep_of[sigma]] for sigma in basis.configs}
     canonical = canonicalize_values(basis, raw)
     return SectorVector(basis, {c: RatFunc(p) for c, p in canonical.items()})
 

@@ -335,6 +335,34 @@ class TestRunCheck:
         with pytest.raises(ValueError):
             run_check("stationary")
 
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("rtt", {"trials": 0}),
+            ("ybe", {"n": 0}),
+            ("zf", {"fock_dim": 2}),
+            ("zf", {"fock_dim": 3}),
+            ("rtt", {"fock_dim": 3}),
+            ("hat", {"fock_dim": 2}),
+        ],
+    )
+    def test_arguments_that_compare_nothing_are_rejected(self, kind, kwargs):
+        with pytest.raises(ValueError):
+            run_check(kind, **kwargs)
+
+    def test_ms_theorem_counts_instances(self):
+        assert run_check("ms-theorem", trials=200).trials == 200
+
+    def test_doubled_r_matrix_fails_zf(self, monkeypatch):
+        import asepx.algebra_checks as checks
+
+        assert run_check("zf", n=2, fock_dim=10, trials=2).passed
+        exact = checks.r_element
+        monkeypatch.setattr(
+            checks, "r_element", lambda *args: exact(*args).scale(2)
+        )
+        assert not run_check("zf", n=2, fock_dim=10, trials=2).passed
+
     def test_report_json_shape(self):
         report = run_check("qp", n=2, trials=2, seed=3)
         data = report.to_json()

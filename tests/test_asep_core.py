@@ -10,6 +10,7 @@ from asepx.asep_core import (
     _kernel_vector,
     basic_multiplicities,
     canonicalize_values,
+    cyclic_orbit_reps,
     cyclic_shift,
     gillespie,
     local_markov,
@@ -212,17 +213,26 @@ class TestStationaryKernel:
             _kernel_vector(zero_rows, 2)
 
     def test_full_and_reduced_paths_agree(self):
-        import asepx.asep_core as core
+        for counts in [(1, 2, 1), (2, 1, 1), (1, 1, 1, 1)]:
+            m = Multiplicity(counts)
+            basis = SectorBasis(m)
+            full = _kernel_vector(_rows_of(markov_sector(m, basis)), basis.dim)
+            oracle = canonicalize_values(basis, dict(zip(basis.configs, full)))
+            assert stationary_kernel(m) == oracle, counts
 
-        m = Multiplicity((1, 2, 1))
-        full = stationary_kernel(m)
-        old = core._FULL_SOLVE_LIMIT
-        try:
-            core._FULL_SOLVE_LIMIT = 0
-            reduced = stationary_kernel(m)
-        finally:
-            core._FULL_SOLVE_LIMIT = old
-        assert full == reduced
+    def test_cyclic_orbit_reps(self):
+        rep_of = cyclic_orbit_reps(SectorBasis(Multiplicity((2, 1, 1, 1))).configs)
+        assert len(rep_of) == 60 and len(set(rep_of.values())) == 12
+        for sigma, rep in rep_of.items():
+            assert rep == min(sigma[i:] + sigma[:i] for i in range(len(sigma)))
+
+
+def _rows_of(mat):
+    """Oracle input: the sparse Markov matrix as one {col: value} dict per row."""
+    rows = [dict() for _ in range(mat.dim)]
+    for (r, c), v in mat.entries.items():
+        rows[r][c] = v
+    return rows
 
 
 def _adjugate_column(mat, row):

@@ -75,6 +75,21 @@ class TestVerifyCommand:
         code, _ = _capture(capsys, ["verify", "stationary"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "rtt", "--trials", "0"],
+            ["verify", "ybe", "--n", "0"],
+            ["verify", "zf", "--fock-dim", "2"],
+        ],
+    )
+    def test_vacuous_arguments_exit_one_with_an_error_line(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_stationary_sector(self, capsys):
         code, out = _capture(
             capsys, ["verify", "stationary", "--mult", "1,2,1"]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from asepx.asep_core import Multiplicity, cyclic_shift, stationary_kernel
+import asepx.ctm as ctm
+from asepx.asep_core import Multiplicity, SectorBasis, cyclic_shift, stationary_kernel
 from asepx.ctm import (
     XTerm,
     build_T,
@@ -13,7 +14,7 @@ from asepx.ctm import (
     mp_trace,
     x_matrix,
 )
-from asepx.oscillator import DivergentTraceError, FockTruncation
+from asepx.oscillator import DivergentTraceError, FockTruncation, trace_pem
 from asepx.scalar import Poly, RatFunc, random_point
 
 from conftest import one_minus_t_pow, poly, rf
@@ -184,6 +185,39 @@ class TestMpTrace:
     def test_divergence_guard_on_non_basic_input(self):
         with pytest.raises(DivergentTraceError):
             mp_trace((0, 2))
+
+
+def _per_key_trace(sigma):
+    """Oracle: the trace summed monomial by monomial as reduced rational functions."""
+    total = RatFunc(Poly())
+    for key, coeff in ctm._balanced_terms(sigma, Fraction(1)).items():
+        value = RatFunc(coeff)
+        for p, e, _ in key:
+            value = value * trace_pem(p, e, Fraction(1))
+        total = total + value
+    return total
+
+
+class TestOrbitReduction:
+    def test_one_trace_per_cyclic_orbit(self, monkeypatch):
+        traced = []
+
+        def counting(sigma, z0=Fraction(1)):
+            traced.append(sigma)
+            return mp_trace(sigma, z0)
+
+        monkeypatch.setattr(ctm, "mp_trace", counting)
+        got = mp_stationary(Multiplicity((2, 1, 1, 1))).canonical()
+        monkeypatch.undo()
+        assert len(traced) == 12 == len(set(traced))
+        assert got == stationary_kernel(Multiplicity((2, 1, 1, 1)))
+
+    def test_common_denominator_matches_per_key_sum(self):
+        configs = [*SectorBasis(Multiplicity((1, 1, 1, 1))).configs,
+                   *SectorBasis(Multiplicity((2, 1, 1))).configs,
+                   (0, 1, 2), (0, 2, 1)]
+        for sigma in configs:
+            assert mp_trace(sigma) == _per_key_trace(sigma), sigma
 
 
 def _expand(L, xi):
