@@ -18,7 +18,7 @@ from .asep_core import (
     multiplicity,
     stationary_kernel,
 )
-from .ctm import build_T, build_X, mp_stationary, mp_trace, x_matrix
+from .ctm import build_T, build_X, mp_stationary, mp_trace
 from .mlq import (
     BallSystem,
     PairingOutcome,
@@ -26,7 +26,6 @@ from .mlq import (
     bigM_apply,
     enumerate_pairings,
     m_element,
-    mcheck_apply,
     mlq_enumerate_direct,
     mlq_state,
     pairing_weight,
@@ -41,13 +40,6 @@ from .oscillator import (
     trace_qh,
     trace_truncated,
 )
-from .scalar import (
-    Poly,
-    RatFunc,
-    Rational,
-    random_point,
-    ratfunc_eval,
-    ratfunc_normalize,
-)
+from .scalar import Poly, RatFunc, Rational, random_point
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator, Optional
 
 from .scalar import (
@@ -25,6 +25,7 @@ from .scalar import (
     Poly,
     RatFunc,
     RF_ONE,
+    RF_ZERO,
     poly_gcd,
     poly_lcm,
 )
@@ -43,8 +44,9 @@ class Multiplicity:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts) or len(self.counts) < 2:
-            raise ValueError(f"bad multiplicity {self.counts}")
+        c = self.counts
+        if len(c) < 2 or min(c) < 0 or sum(c) == 0:
+            raise ValueError(f"bad multiplicity {c}: need n >= 1, counts >= 0, L >= 1")
 
     @property
     def L(self) -> int:
@@ -163,13 +165,9 @@ class SparseMatrixRF:
             del self.entries[key]
 
     def get(self, row: int, col: int) -> RatFunc:
-        from .scalar import RF_ZERO
-
         return self.entries.get((row, col), RF_ZERO)
 
     def column_sums(self) -> list[RatFunc]:
-        from .scalar import RF_ZERO
-
         sums = [RF_ZERO] * self.dim
         for (_, col), v in self.entries.items():
             sums[col] = sums[col] + v
@@ -182,7 +180,6 @@ def markov_sector(m: Multiplicity, basis: Optional[SectorBasis] = None) -> Spars
         basis = SectorBasis(m)
     L = m.L
     mat = SparseMatrixRF(basis.dim)
-    mat.basis = basis
     rf_t = RatFunc(Poly((0, 1)))
     for col, sigma in enumerate(basis.configs):
         for i in range(L):
@@ -209,8 +206,6 @@ def _kernel_vector(rows: list[dict[int, RatFunc]], dim: int) -> list[RatFunc]:
     previous pivot), after which the single free unknown is
     back-substituted over the field.
     """
-    from .scalar import RF_ZERO
-
     mat: list[list[Poly]] = []
     for row in rows:
         den = P_ONE
@@ -300,14 +295,19 @@ def _orbit_reduced_kernel(
     return [wvec[rep_index[rep_of[sigma]]] for sigma in basis.configs]
 
 
-def _residual_is_zero(mat: SparseMatrixRF, vec: list[RatFunc]) -> bool:
-    from .scalar import RF_ZERO
+def nonzero_residual(
+    mat: SparseMatrixRF, basis: SectorBasis, values: dict[Config, RatFunc]
+) -> list[Config]:
+    """Configurations where H v is nonzero, exactly, in basis order.
 
+    An empty list certifies that v is a null vector of H.
+    """
     sums = [RF_ZERO] * mat.dim
-    for (r, c), v in mat.entries.items():
-        if vec[c]:
-            sums[r] = sums[r] + v * vec[c]
-    return all(not s for s in sums)
+    for (r, c), h in mat.entries.items():
+        v = values[basis.configs[c]]
+        if v:
+            sums[r] = sums[r] + h * v
+    return [basis.configs[r] for r, s in enumerate(sums) if s]
 
 
 def canonicalize_values(
@@ -360,10 +360,9 @@ def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     mat = markov_sector(m, basis)
     if basis.dim == 1:
         return {basis.configs[0]: P_ONE}
-    vec = _orbit_reduced_kernel(mat, basis)
-    if not _residual_is_zero(mat, vec):
+    values = dict(zip(basis.configs, _orbit_reduced_kernel(mat, basis)))
+    if nonzero_residual(mat, basis, values):
         raise KernelError("orbit-reduced solution failed exact residual check")
-    values = dict(zip(basis.configs, vec))
     return canonicalize_values(basis, values)
 
 
@@ -386,8 +385,13 @@ def gillespie(
     (burn_in, burn_in + horizon].  When a `stats` dict is supplied, the
     executed event count is recorded under "events".
     """
-    if t_value < 0:
-        raise ValueError("t_value must be nonnegative")
+    # chained comparisons are False for nan; inf would never end the run
+    if not 0 <= t_value < inf:
+        raise ValueError(f"t_value must be finite and nonnegative, got {t_value}")
+    if not 0 < horizon < inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not 0 <= burn_in < inf:
+        raise ValueError(f"burn_in must be finite and nonnegative, got {burn_in}")
     rng = random.Random(seed)
     basis = SectorBasis(m)
     L = m.L

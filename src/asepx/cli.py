@@ -78,52 +78,38 @@ def cmd_sector(args) -> int:
 
 def cmd_stationary(args) -> int:
     m = _sector_multiplicity(args)
-    basis = SectorBasis(m)
+    if not args.all_methods and args.method == "mlq" and args.q != 1:
+        # away from q = 1 the mlq sum is not a stationary state: print it raw
+        state = mlq_state(m, args.q)
+        payload = {
+            "schema": SCHEMA,
+            "method": "mlq",
+            "q": str(args.q),
+            "state": {
+                _config_str(c): state.values[c].to_json()
+                for c in state.basis.configs
+                if c in state.values
+            },
+        }
+        _emit(payload, args.format)
+        return 0
     methods = ["kernel", "mlq", "mp"] if args.all_methods else [args.method]
-    # the cross-method comparison is defined at the stationary point q = 1
-    q = Fraction(1) if args.all_methods else args.q
     results = {}
     for method in methods:
         if method == "kernel":
-            canon = stationary_kernel(m)
+            results[method] = stationary_kernel(m)
         elif method == "mlq":
-            state = mlq_state(m, q)
-            if q == 1:
-                canon = state.canonical()
-            else:
-                payload = {
-                    "schema": SCHEMA,
-                    "method": "mlq",
-                    "q": str(q),
-                    "state": {
-                        _config_str(c): state.values[c].to_json()
-                        for c in basis.configs
-                        if c in state.values
-                    },
-                }
-                _emit(payload, args.format)
-                return 0
+            results[method] = mlq_state(m).canonical()
         else:
-            canon = mp_stationary(m).canonical()
-        results[method] = canon
+            results[method] = mp_stationary(m).canonical()
+    first = results[methods[0]]
+    state = {_config_str(c): p.to_json() for c, p in first.items()}
     if args.all_methods:
-        first = results[methods[0]]
         status = "EQUAL" if all(results[k] == first for k in methods) else "DIFFER"
-        payload = {
-            "schema": SCHEMA,
-            "methods": methods,
-            "status": status,
-            "state": {_config_str(c): p.to_json() for c, p in first.items()},
-        }
-        _emit(payload, args.format)
+        _emit({"schema": SCHEMA, "methods": methods, "status": status, "state": state},
+              args.format)
         return 0 if status == "EQUAL" else 1
-    canon = results[methods[0]]
-    payload = {
-        "schema": SCHEMA,
-        "method": methods[0],
-        "state": {_config_str(c): p.to_json() for c, p in canon.items()},
-    }
-    _emit(payload, args.format)
+    _emit({"schema": SCHEMA, "method": methods[0], "state": state}, args.format)
     return 0
 
 

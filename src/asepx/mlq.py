@@ -3,10 +3,11 @@
 A ball system is a stack of 0/1 rows with strictly decreasing
 occupancies l_1 > l_2 > ... > l_n (row 1 on top).  Pairing a lower row
 into the row above it produces weighted injections; the generating
-function of the weights is a linear operator between row spaces, and
-the whole construction composes those operators and projects onto ASEP
-configurations.  A direct round-by-round enumerator over ball diagrams
-is kept as an independent oracle for the operator pipeline.
+function of the weights is a linear operator between row spaces
+(`_apply_mcheck_at`), and the whole construction composes those
+operators (`bigM_apply`) and projects onto ASEP configurations.  A
+direct round-by-round enumerator over ball diagrams is kept as an
+independent oracle for the operator pipeline.
 """
 
 from __future__ import annotations
@@ -170,30 +171,14 @@ def _pairing_images(qeff: Fraction, i: Row, j: Row) -> tuple[tuple[Row, RatFunc]
     return tuple(sorted(sums.items()))
 
 
-def mcheck_apply(
-    q: Fraction, vec: dict[tuple[Row, Row], RatFunc]
-) -> dict[tuple[Row, Row], RatFunc]:
-    """Linear map v_i (x) v_j  ->  sum_a M^{a, j-a}_{i,j} v_{j-a} (x) v_a."""
-    out: dict[tuple[Row, Row], RatFunc] = {}
-    for (i, j), coeff in vec.items():
-        if not coeff:
-            continue
-        for a, w in _pairing_images(q, i, j):
-            b = tuple(j[c] - a[c] for c in range(len(j)))
-            key = (b, a)
-            cur = out.get(key)
-            new = coeff * w if cur is None else cur + coeff * w
-            if new:
-                out[key] = new
-            elif cur is not None:
-                del out[key]
-    return out
-
-
 def _apply_mcheck_at(
     q: Fraction, vec: dict[tuple[Row, ...], RatFunc], pos: int
 ) -> dict[tuple[Row, ...], RatFunc]:
-    """Apply the two-row operator at tensor slots (pos, pos+1)."""
+    """Apply the two-row pairing operator at tensor slots (pos, pos+1).
+
+    v_i (x) v_j  ->  sum_a M^{a, j-a}_{i,j} v_{j-a} (x) v_a, where i and j
+    are the rows in those slots; needs |i| < |j| in every key.
+    """
     out: dict[tuple[Row, ...], RatFunc] = {}
     for key, coeff in vec.items():
         if not coeff:
@@ -215,31 +200,23 @@ def _apply_mcheck_at(
     return out
 
 
-def _bigm_on_vector(
-    q: Fraction, vec: dict[tuple[Row, ...], RatFunc], n: int
+def bigM_apply(
+    q: Fraction, vec: dict[tuple[Row, ...], RatFunc]
 ) -> dict[tuple[Row, ...], RatFunc]:
-    """Composition of all pairing rounds on an n-row tensor vector.
+    """Full pairing operator: all pairing rounds composed on an n-row tensor vector.
 
-    Round j applies the two-row operator at slot pairs (r, r-1) for
-    r = n down to j+1 with deformation q^{n-r+1}; tensor slots are kept
-    left to right as (slot n, ..., slot 1).
+    Input slots hold ball rows (b_n, ..., b_1) left to right; the output
+    slots hold the color position rows (c_1, ..., c_n).  Round j applies
+    the two-row operator at slot pairs (r, r-1) for r = n down to j+1
+    with deformation q^{n-r+1}.
     """
+    n = len(next(iter(vec), ()))
     for j in range(1, n):
         for r in range(n, j, -1):
             qeff = q ** (n - r + 1)
             pos = n - r  # slot r sits at list index n - r
             vec = _apply_mcheck_at(qeff, vec, pos)
     return vec
-
-
-def bigM_apply(q: Fraction, b: BallSystem) -> dict[tuple[Row, ...], RatFunc]:
-    """Full pairing operator applied to one ball system.
-
-    Input slots hold (b_n, ..., b_1); the output tensor holds the color
-    position rows (c_1, ..., c_n) left to right.
-    """
-    n = len(b.rows)
-    return _bigm_on_vector(q, {tuple(b.rows): RF_ONE}, n)
 
 
 def project_pi(vec: dict[tuple[Row, ...], RatFunc]) -> SectorVector:
@@ -302,12 +279,7 @@ def mlq_state(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:
     """
     if not m.is_basic:
         raise ValueError("sector must be basic")
-    n = m.n
-    vec: dict[tuple[Row, ...], RatFunc] = {
-        key: RF_ONE for key in _ball_systems(m)
-    }
-    vec = _bigm_on_vector(q, vec, n)
-    return project_pi(vec)
+    return project_pi(bigM_apply(q, dict.fromkeys(_ball_systems(m), RF_ONE)))
 
 
 # ---------------------------------------------------------------------------

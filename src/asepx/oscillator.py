@@ -373,8 +373,14 @@ def multimode_sum_is_zero(
     with every mode level (in and out) at most `window`, but organised
     by the tensor factorisation: terms are grouped by their per-mode
     level shifts, then reduced mode by mode against an exact row basis,
-    so the product state space is never enumerated.
+    so the product state space is never enumerated.  A window below 1
+    would compare at most the vacuum, so it is refused.
     """
+    if window < 1:
+        raise ValueError(
+            f"safe window {window} leaves no truncation-free level to compare;"
+            " need a Fock dimension of at least 4"
+        )
     groups: dict[tuple[int, ...], list[tuple[Fraction, tuple[OscWord, ...]]]] = {}
     for coeff, modewords in terms:
         if not coeff:

@@ -350,16 +350,6 @@ RF_ZERO = RatFunc(P_ZERO)
 RF_ONE = RatFunc(P_ONE)
 
 
-def ratfunc_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Reduced, monic-denominator canonical form of num/den."""
-    return RatFunc(num, den)
-
-
-def ratfunc_eval(f: RatFunc, t0: Fraction) -> Fraction:
-    """Exact value f(t0); raises PoleError at a pole."""
-    return f.eval(t0)
-
-
 #: numerator/denominator magnitude bound for random evaluation points
 RANDOM_POINT_BOUND = 10**6
 

@@ -5,7 +5,6 @@ import pytest
 
 from asepx.algebra_checks import (
     _term_product,
-    _x_eval_terms,
     build_calL,
     check_L0_oscillator,
     check_LtT,
@@ -25,7 +24,7 @@ from asepx.algebra_checks import (
     verify_stationary,
 )
 from asepx.asep_core import Multiplicity, stationary_kernel
-from asepx.ctm import build_X
+from asepx.ctm import _x_eval_terms, build_X, check_recursion
 from asepx.oscillator import FockTruncation, multimode_sum_is_zero
 from asepx.scalar import Poly, RatFunc, random_point
 
@@ -344,11 +343,28 @@ class TestRunCheck:
             ("zf", {"fock_dim": 3}),
             ("rtt", {"fock_dim": 3}),
             ("hat", {"fock_dim": 2}),
+            ("rll", {"l": -1}),
+            ("lt-link", {"l": -1}),
         ],
     )
     def test_arguments_that_compare_nothing_are_rejected(self, kind, kwargs):
         with pytest.raises(ValueError):
             run_check(kind, **kwargs)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda tr: check_zf(2, Fraction(2, 3), Fraction(1, 7), tr, Fraction(1, 5)),
+            lambda tr: check_rtt(2, Fraction(2, 3), Fraction(1, 7), tr, Fraction(1, 5)),
+            lambda tr: check_hat(2, tr, Fraction(1, 5)),
+            lambda tr: check_recursion(3, Fraction(2, 3), Fraction(1, 5), tr),
+        ],
+        ids=["zf", "rtt", "hat", "recursion"],
+    )
+    def test_direct_calls_with_an_empty_window_are_rejected(self, check, dim):
+        with pytest.raises(ValueError):
+            check(FockTruncation(dim))
 
     def test_ms_theorem_counts_instances(self):
         assert run_check("ms-theorem", trials=200).trials == 200

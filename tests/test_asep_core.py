@@ -15,6 +15,7 @@ from asepx.asep_core import (
     gillespie,
     local_markov,
     markov_sector,
+    nonzero_residual,
     stationary_kernel,
 )
 from asepx.scalar import Poly, RatFunc, random_point
@@ -206,6 +207,17 @@ class TestStationaryKernel:
         }
         oracle = canonicalize_values(basis, values)
         assert oracle == stationary_kernel(m)
+
+    def test_residual_names_the_broken_configurations(self):
+        m = Multiplicity((1, 1, 1))
+        basis = SectorBasis(m)
+        mat = markov_sector(m, basis)
+        values = {c: RatFunc(p) for c, p in stationary_kernel(m).items()}
+        assert nonzero_residual(mat, basis, values) == []
+        values[(0, 1, 2)] = values[(0, 1, 2)].scale(2)
+        # H e_c is nonzero at c and at the three configurations it hops to
+        assert nonzero_residual(mat, basis, values) == [
+            (0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
 
     def test_kernel_dimension_guard(self):
         zero_rows = [dict(), dict()]

@@ -81,6 +81,11 @@ class TestVerifyCommand:
             ["verify", "rtt", "--trials", "0"],
             ["verify", "ybe", "--n", "0"],
             ["verify", "zf", "--fock-dim", "2"],
+            ["sector", "--mult", "0,0"],
+            ["simulate", "--mult", "1,1,1", "--horizon", "0"],
+            ["simulate", "--mult", "1,1,1", "--horizon", "-5"],
+            ["simulate", "--mult", "1,1,1", "--burn-in", "-3"],
+            ["simulate", "--mult", "1,1,1", "--t", "nan"],
         ],
     )
     def test_vacuous_arguments_exit_one_with_an_error_line(self, capsys, argv):

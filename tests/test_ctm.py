@@ -1,20 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import asepx.ctm as ctm
 from asepx.asep_core import Multiplicity, SectorBasis, cyclic_shift, stationary_kernel
 from asepx.ctm import (
+    XOperator,
     XTerm,
+    _x_eval_terms,
     build_T,
     build_X,
     check_recursion,
     mp_stationary,
     mp_trace,
-    x_matrix,
 )
-from asepx.oscillator import DivergentTraceError, FockTruncation, trace_pem
+from asepx.oscillator import (
+    DivergentTraceError,
+    FockTruncation,
+    apply_word_to_level,
+    trace_pem,
+)
 from asepx.scalar import Poly, RatFunc, random_point
 
 from conftest import one_minus_t_pow, poly, rf
@@ -127,29 +134,97 @@ class TestBuildX:
                     assert tm.entry(i, alpha) is None
 
 
+def truncated_matrix(terms, nmodes, dim, t0=None):
+    """Explicit truncated matrix {(row state, col state): coeff} of sum_k c_k words_k.
+
+    A state lists the levels of modes 1..nmodes, each below `dim`.  The
+    coefficients are Polys in t when t0 is None, else Fractions at t0.
+    """
+    out = {}
+    for col in product(range(dim), repeat=nmodes):
+        for coeff, words in terms:
+            wd = dict(words)
+            row = []
+            for mode, d in enumerate(col, start=1):
+                d2, c = apply_word_to_level(wd.get(mode, ()), d, t0=t0, dim=dim)
+                coeff = coeff * c
+                row.append(d2)
+            if coeff:
+                key = (tuple(row), col)
+                out[key] = out[key] + coeff if key in out else coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def recursion_by_composition(n, z0, t0, dim):
+    """The rank recursion compared entrywise on the safe window, both sides
+    built as explicit truncated matrices, the right one by composing the
+    matrices of T_{i a} (acting first) and of the embedded X~_i."""
+    nmodes = n * (n - 1) // 2
+    window = FockTruncation(dim).safe_window(2)
+    tmat = build_T(n)
+
+    def on_window(mat):
+        return {k: v for k, v in mat.items() if max(k[0] + k[1], default=0) <= window}
+
+    for alpha in range(n + 1):
+        terms = _x_eval_terms(ctm.build_X(n, alpha), z0, t0)
+        lhs = truncated_matrix(terms, nmodes, dim, t0)
+        rhs = {}
+        for i in range(n):
+            tentry = tmat.entry(i, alpha)
+            if tentry is None:
+                continue
+            tm = truncated_matrix([(z0**tentry.zdeg, tentry.words)], nmodes, dim, t0)
+            shifted = [(c, tuple((m + n - 1, w) for m, w in words))
+                       for c, words in _x_eval_terms(ctm.build_X(n - 1, i), z0, t0)]
+            by_col = {}
+            for (row, mid), c2 in truncated_matrix(shifted, nmodes, dim, t0).items():
+                by_col.setdefault(mid, []).append((row, c2))
+            for (mid, col), c1 in tm.items():
+                for row, c2 in by_col.get(mid, ()):
+                    rhs[(row, col)] = rhs.get((row, col), 0) + c1 * c2
+        if on_window(lhs) != on_window({k: v for k, v in rhs.items() if v}):
+            return False
+    return True
+
+
 class TestXMatrix:
     def test_diagonal_action(self):
-        mat = x_matrix(build_X(2, 1), Fraction(1), FockTruncation(5))
-        for d in range(5):
-            assert mat[d][d] == RatFunc(Poly((0,) * d + (1,)))
-        for r in range(5):
-            for c in range(5):
-                if r != c:
-                    assert mat[r][c].is_zero()
+        x = build_X(2, 1)
+        mat = truncated_matrix([(t.coeff, t.words) for t in x.terms], x.nmodes, 5)
+        assert mat == {((d,), (d,)): Poly((0,) * d + (1,)) for d in range(5)}
 
     def test_identity_plus_subdiagonal(self):
-        mat = x_matrix(build_X(2, 0), Fraction(1), FockTruncation(5))
-        for d in range(5):
-            assert mat[d][d] == rf(poly(1))
-        for d in range(4):
-            assert mat[d + 1][d] == rf(poly(1))
+        x = build_X(2, 0)
+        mat = truncated_matrix([(t.coeff, t.words) for t in x.terms], x.nmodes, 5)
+        expected = {((d,), (d,)): poly(1) for d in range(5)}
+        expected.update({((d + 1,), (d,)): poly(1) for d in range(4)})
+        assert mat == expected
 
     def test_recursion_at_random_points(self):
-        trunc = FockTruncation(6)
-        for k in range(3):
+        for n, k in product((2, 3), range(3)):
             z0 = random_point(500 + 2 * k)
             t0 = random_point(501 + 2 * k)
-            assert check_recursion(3, z0, t0, trunc)
+            assert check_recursion(n, z0, t0, FockTruncation(6))
+            assert recursion_by_composition(n, z0, t0, 6)
+
+    def test_doubled_term_fails_both_recursion_checks(self, monkeypatch):
+        z0, t0 = random_point(510), random_point(511)
+        exact = ctm.build_X
+        for alpha in range(4):
+            for k in range(len(exact(3, alpha).terms)):
+                def mutated(n, a, alpha=alpha, k=k):
+                    x = exact(n, a)
+                    if (n, a) != (3, alpha):
+                        return x
+                    terms = list(x.terms)
+                    t = terms[k]
+                    terms[k] = XTerm(t.zdeg, t.words, t.coeff.scale(2))
+                    return XOperator(x.n, x.nmodes, tuple(terms))
+
+                monkeypatch.setattr(ctm, "build_X", mutated)
+                assert not check_recursion(3, z0, t0, FockTruncation(6)), (alpha, k)
+                assert not recursion_by_composition(3, z0, t0, 6), (alpha, k)
 
 
 class TestMpTrace:
@@ -190,7 +265,7 @@ class TestMpTrace:
 def _per_key_trace(sigma):
     """Oracle: the trace summed monomial by monomial as reduced rational functions."""
     total = RatFunc(Poly())
-    for key, coeff in ctm._balanced_terms(sigma, Fraction(1)).items():
+    for key, coeff in ctm._balanced_terms(sigma).items():
         value = RatFunc(coeff)
         for p, e, _ in key:
             value = value * trace_pem(p, e, Fraction(1))
@@ -202,9 +277,9 @@ class TestOrbitReduction:
     def test_one_trace_per_cyclic_orbit(self, monkeypatch):
         traced = []
 
-        def counting(sigma, z0=Fraction(1)):
+        def counting(sigma):
             traced.append(sigma)
-            return mp_trace(sigma, z0)
+            return mp_trace(sigma)
 
         monkeypatch.setattr(ctm, "mp_trace", counting)
         got = mp_stationary(Multiplicity((2, 1, 1, 1))).canonical()

@@ -10,11 +10,11 @@ from asepx.mlq import (
     MLQRecord,
     PairingOutcome,
     PairStep,
+    _apply_mcheck_at,
     bigM_apply,
     enumerate_pairings,
     iter_mlqs,
     m_element,
-    mcheck_apply,
     mlq_enumerate_direct,
     mlq_state,
     pairing_weight,
@@ -216,14 +216,14 @@ class TestMcheckApply:
     def test_contains_fixture_coefficient(self):
         q = Fraction(3, 7)
         i, j, a, b = _example_rows(1, 1)
-        out = mcheck_apply(q, {(i, j): rf(poly(1))})
+        out = _apply_mcheck_at(q, {(i, j): rf(poly(1))}, 0)
         assert out[(b, a)] == _example_value(1, 1, q)
 
     def test_empty_row_identity_relabeling(self):
         q = Fraction(1, 2)
         j = (1, 0, 1)
         zero = (0, 0, 0)
-        out = mcheck_apply(q, {(zero, j): rf(poly(1))})
+        out = _apply_mcheck_at(q, {(zero, j): rf(poly(1))}, 0)
         assert out == {(j, zero): rf(poly(1))}
 
     def test_row_sums_match_total_weight(self):
@@ -237,7 +237,7 @@ class TestMcheckApply:
             jcols = rng.sample(range(L), m)
             i = tuple(1 if c in icols else 0 for c in range(L))
             j = tuple(1 if c in jcols else 0 for c in range(L))
-            out = mcheck_apply(q, {(i, j): rf(poly(1))})
+            out = _apply_mcheck_at(q, {(i, j): rf(poly(1))}, 0)
             total = RatFunc(Poly())
             for v in out.values():
                 total = total + v
@@ -250,15 +250,15 @@ class TestMcheckApply:
 class TestBigM:
     def test_single_row_is_identity(self):
         bs = BallSystem(((1, 0, 1),))
-        out = bigM_apply(Fraction(1), bs)
+        out = bigM_apply(Fraction(1), {bs.rows: rf(poly(1))})
         assert out == {((1, 0, 1),): rf(poly(1))}
 
     def test_two_rows_single_application(self):
         q = Fraction(2, 7)
         lower, upper = (0, 1, 0), (1, 0, 1)
         bs = BallSystem((lower, upper))
-        direct = mcheck_apply(q, {(lower, upper): rf(poly(1))})
-        assert bigM_apply(q, bs) == direct
+        direct = _apply_mcheck_at(q, {(lower, upper): rf(poly(1))}, 0)
+        assert bigM_apply(q, {bs.rows: rf(poly(1))}) == direct
 
     def test_three_rows_against_direct_enumeration(self):
         q = Fraction(2, 5)
@@ -270,7 +270,7 @@ class TestBigM:
                 (0, 1, 1, 1, 1, 1, 1, 0, 1),
             )
         )
-        out = bigM_apply(q, bs)
+        out = bigM_apply(q, {bs.rows: rf(poly(1))})
         # color rows of the worked example: 3 at {3,5}, 2 at {1,4}, 1 at {2,6,8}
         c1 = (0, 0, 1, 0, 0, 0, 1, 0, 1)
         c2 = (0, 1, 0, 0, 1, 0, 0, 0, 0)

@@ -9,8 +9,6 @@ from asepx.scalar import (
     RatFunc,
     poly_gcd,
     random_point,
-    ratfunc_eval,
-    ratfunc_normalize,
 )
 
 from conftest import one_minus_t_pow, poly, rf
@@ -19,11 +17,11 @@ from conftest import one_minus_t_pow, poly, rf
 class TestNormalize:
     def test_common_factor_cancels(self):
         # (t^2 - 1)/(t - 1) -> (t + 1)/1
-        f = ratfunc_normalize(poly(-1, 0, 1), poly(-1, 1))
+        f = RatFunc(poly(-1, 0, 1), poly(-1, 1))
         assert f == rf(poly(1, 1))
 
     def test_zero_numerator(self):
-        f = ratfunc_normalize(Poly(), poly(3, 7))
+        f = RatFunc(Poly(), poly(3, 7))
         assert f.num == Poly() and f.den == poly(1)
 
     def test_repeated_factor_long_division(self):
@@ -31,12 +29,12 @@ class TestNormalize:
         # leaves 1 / (1+t) in monic form.
         num = one_minus_t_pow(1) * one_minus_t_pow(1)
         den = one_minus_t_pow(1) * one_minus_t_pow(2)
-        f = ratfunc_normalize(num, den)
+        f = RatFunc(num, den)
         assert f == rf(poly(1), poly(1, 1))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            ratfunc_normalize(poly(1), Poly())
+            RatFunc(poly(1), Poly())
 
     def test_monic_denominator_and_reduced(self):
         rng = random.Random(5)
@@ -45,7 +43,7 @@ class TestNormalize:
             b = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
             if b.is_zero():
                 continue
-            f = ratfunc_normalize(a, b)
+            f = RatFunc(a, b)
             assert f.den.leading() in (Fraction(0), Fraction(1))
             if not f.num.is_zero():
                 assert poly_gcd(f.num, f.den).degree == 0
@@ -58,17 +56,17 @@ class TestNormalize:
             c = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
             if b.is_zero() or c.is_zero():
                 continue
-            assert ratfunc_normalize(a * c, b * c) == ratfunc_normalize(a, b)
+            assert RatFunc(a * c, b * c) == RatFunc(a, b)
 
 
 class TestEval:
     def test_constant_term(self):
         f = rf(poly(2, 1), poly(1, 0, -1))
-        assert ratfunc_eval(f, Fraction(0)) == 2
+        assert f.eval(Fraction(0)) == 2
 
     def test_geometric_value(self):
         f = rf(poly(1), poly(1, -1))
-        assert ratfunc_eval(f, Fraction(1, 2)) == 2
+        assert f.eval(Fraction(1, 2)) == 2
 
     def test_direct_rational_arithmetic(self):
         # (1-t)^2 (1+t^2) / ((1-t^2)(1-t^3)) at t = 1/3, oracle = plain
@@ -79,12 +77,12 @@ class TestEval:
             one_minus_t_pow(1) * one_minus_t_pow(1) * poly(1, 0, 1),
             one_minus_t_pow(2) * one_minus_t_pow(3),
         )
-        assert ratfunc_eval(f, t) == expected == Fraction(15, 26)
+        assert f.eval(t) == expected == Fraction(15, 26)
 
     def test_pole_raises(self):
         f = rf(poly(1), poly(1, -1))
         with pytest.raises(PoleError):
-            ratfunc_eval(f, Fraction(1))
+            f.eval(Fraction(1))
 
     def test_eval_is_ring_homomorphism(self):
         rng = random.Random(23)
