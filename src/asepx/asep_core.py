@@ -318,7 +318,9 @@ def canonicalize_values(
     Scales the vector so that every entry is a polynomial in t with
     integer coefficients, the collective coefficient gcd is 1, and the
     entry at the lexicographically smallest configuration has positive
-    leading coefficient.
+    leading coefficient.  Equal coefficients of the returned vector are
+    one object, so a vector that callers keep holds each distinct
+    coefficient once.
     """
     vals = [values.get(c) or RatFunc(P_ZERO) for c in basis.configs]
     if all(v.is_zero() for v in vals):
@@ -342,11 +344,13 @@ def canonicalize_values(
             num_gcd = gcd(num_gcd, c.numerator)
             den_lcm = lcm(den_lcm, c.denominator)
     content = Fraction(num_gcd, den_lcm)
-    polys = [p.scale(1 / content) for p in polys]
-    lead = next(p for p in polys if not p.is_zero()).leading()
-    if lead < 0:
-        polys = [-p for p in polys]
-    return dict(zip(basis.configs, polys))
+    if next(p for p in polys if not p.is_zero()).leading() < 0:
+        content = -content
+    shared: dict[Fraction, Fraction] = {}
+    return {
+        c: Poly([shared.setdefault(x, x) for x in (a / content for a in p.coeffs)])
+        for c, p in zip(basis.configs, polys)
+    }
 
 
 def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:

@@ -78,7 +78,9 @@ def cmd_sector(args) -> int:
 
 def cmd_stationary(args) -> int:
     m = _sector_multiplicity(args)
-    if not args.all_methods and args.method == "mlq" and args.q != 1:
+    if args.q != 1:
+        if args.all_methods or args.method != "mlq":
+            raise ValueError("--q other than 1 needs --method mlq without --all-methods")
         # away from q = 1 the mlq sum is not a stationary state: print it raw
         state = mlq_state(m, args.q)
         payload = {

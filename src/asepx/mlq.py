@@ -5,21 +5,31 @@ occupancies l_1 > l_2 > ... > l_n (row 1 on top).  Pairing a lower row
 into the row above it produces weighted injections; the generating
 function of the weights is a linear operator between row spaces
 (`_apply_mcheck_at`), and the whole construction composes those
-operators (`bigM_apply`) and projects onto ASEP configurations.  A
-direct round-by-round enumerator over ball diagrams is kept as an
-independent oracle for the operator pipeline.
+operators (`bigM_apply`) and projects onto ASEP configurations.
+
+The pairing images of a row pair are summed by a transfer DP over the
+mask of free upper balls (`_pairing_images`), never by listing the
+pairings.  Every pairing of l lower into l' upper balls at deformation
+qeff has its weight over one denominator, prod_{k=l'-l+1}^{l'}
+(1 - qeff t^k) (`pairing_denominator`), and every key of a tensor
+vector has the same slot occupancies, so the composition carries
+polynomial numerators over one running denominator and normalizes once
+per output key.  The enumerative definition (`enumerate_pairings`,
+`pairing_weight`) and a direct round-by-round enumerator over ball
+diagrams (`iter_mlqs`) are kept as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import mul
 from typing import Iterator, Optional
 
 from .asep_core import Config, Multiplicity, SectorBasis
-from .scalar import Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk
+from .scalar import P_ONE, Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk, poly_lcm
 
 Row = tuple[int, ...]
 
@@ -146,40 +156,84 @@ def pairing_weight(p: PairingOutcome, qeff: Fraction) -> RatFunc:
 def m_element(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> RatFunc:
     """Generating function of pairing weights with paired image exactly a.
 
-    Vanishes unless a + b = j entrywise.
+    Vanishes unless a + b = j entrywise.  Read from `_pairing_images`,
+    whose numerator for image a sits over `pairing_denominator`.
     """
     L = len(i)
     if not (len(j) == len(a) == len(b) == L):
         raise ValueError("row length mismatch")
     if any(a[c] + b[c] != j[c] for c in range(L)):
         return RF_ZERO
-    total = RF_ZERO
-    for outcome in enumerate_pairings(i, j):
-        if outcome.target == a:
-            total = total + pairing_weight(outcome, q)
-    return total
+    for image, num in _pairing_images(q, i, j):
+        if image == a:
+            return RatFunc(num, pairing_denominator(q, sum(i), sum(j)))
+    return RF_ZERO
+
+
+def pairing_denominator(qeff: Fraction, li: int, lj: int) -> Poly:
+    """D = prod_{k=lj-li+1}^{lj} (1 - qeff t^k), common to every pairing of li into lj balls."""
+    return reduce(mul, (one_minus_qtk(qeff, k) for k in range(lj - li + 1, lj + 1)), P_ONE)
 
 
 @lru_cache(maxsize=None)
-def _pairing_images(qeff: Fraction, i: Row, j: Row) -> tuple[tuple[Row, RatFunc], ...]:
-    """Aggregated (image, total weight) list for the row pair (i, j)."""
-    sums: dict[Row, RatFunc] = {}
-    for outcome in enumerate_pairings(i, j):
-        w = pairing_weight(outcome, qeff)
-        cur = sums.get(outcome.target)
-        sums[outcome.target] = w if cur is None else cur + w
-    return tuple(sorted(sums.items()))
+def _pairing_images(qeff: Fraction, i: Row, j: Row) -> tuple[tuple[Row, Poly], ...]:
+    """(image, numerator over `pairing_denominator`) for the row pair (i, j).
+
+    A transfer DP over the mask of free upper balls: the lower balls are
+    swept left to right as in `enumerate_pairings`, and all pairings that
+    leave the same free mask are summed.  Every step at the same sweep
+    position sees the same number of free balls, so each contributes the
+    same factor 1 - qeff t^free to the denominator: a trivial step
+    multiplies its numerator by that factor, a non-trivial one by
+    (1-t) t^skipped qeff^wrapped.  Requires |i| < |j|.
+    """
+    L = len(i)
+    if len(j) != L:
+        raise ValueError("rows must have equal length")
+    if sum(i) >= sum(j):
+        raise ValueError("need strictly fewer lower balls than upper balls")
+    full_mask = sum(1 << c for c in range(L) if j[c])
+    one_minus_t = Poly((1, -1))
+    states = {full_mask: P_ONE}
+    nfree = sum(j)
+    for src in (c for c in range(L) if i[c]):
+        trivial = one_minus_qtk(qeff, nfree)
+        nxt: dict[int, Poly] = {}
+        for free_mask, num in states.items():
+            if free_mask >> src & 1:
+                moves = [(src, num * trivial)]
+            else:
+                paired = num * one_minus_t
+                arrow = (paired, paired.scale(qeff))  # indexed by `wrapped`
+                moves = []
+                for tgt in range(L):
+                    if free_mask >> tgt & 1:
+                        wrapped, skipped = _step_stats(src, tgt, free_mask, L)
+                        moves.append((tgt, arrow[wrapped].shift(skipped)))
+            for tgt, w in moves:
+                key = free_mask & ~(1 << tgt)
+                cur = nxt.get(key)
+                nxt[key] = w if cur is None else cur + w
+        states = nxt
+        nfree -= 1
+    images = []
+    for free_mask, num in states.items():
+        taken = full_mask & ~free_mask
+        images.append((tuple(taken >> c & 1 for c in range(L)), num))
+    return tuple(sorted(images))
 
 
 def _apply_mcheck_at(
-    q: Fraction, vec: dict[tuple[Row, ...], RatFunc], pos: int
-) -> dict[tuple[Row, ...], RatFunc]:
-    """Apply the two-row pairing operator at tensor slots (pos, pos+1).
+    q: Fraction, vec: dict[tuple[Row, ...], Poly], pos: int
+) -> dict[tuple[Row, ...], Poly]:
+    """Apply the two-row pairing operator at tensor slots (pos, pos+1) to numerators.
 
     v_i (x) v_j  ->  sum_a M^{a, j-a}_{i,j} v_{j-a} (x) v_a, where i and j
-    are the rows in those slots; needs |i| < |j| in every key.
+    are the rows in those slots; needs |i| < |j| in every key.  Each
+    output numerator is over one more factor pairing_denominator(q, |i|, |j|)
+    than its input, which `bigM_apply` carries.
     """
-    out: dict[tuple[Row, ...], RatFunc] = {}
+    out: dict[tuple[Row, ...], Poly] = {}
     for key, coeff in vec.items():
         if not coeff:
             continue
@@ -208,15 +262,26 @@ def bigM_apply(
     Input slots hold ball rows (b_n, ..., b_1) left to right; the output
     slots hold the color position rows (c_1, ..., c_n).  Round j applies
     the two-row operator at slot pairs (r, r-1) for r = n down to j+1
-    with deformation q^{n-r+1}.
+    with deformation q^{n-r+1}.  Every key must have the same slot
+    occupancies, so each application multiplies the whole vector by one
+    known `pairing_denominator`: the composition runs on polynomial
+    numerators over one running denominator, normalized once per output key.
     """
-    n = len(next(iter(vec), ()))
+    occ = [sum(r) for r in next(iter(vec), ())]
+    n = len(occ)
+    if any([sum(r) for r in key] != occ for key in vec):
+        raise ValueError("inconsistent slot occupancies")
+    den = reduce(poly_lcm, (v.den for v in vec.values()), P_ONE)
+    nums = {key: v.num * (den // v.den) for key, v in vec.items()}
     for j in range(1, n):
         for r in range(n, j, -1):
             qeff = q ** (n - r + 1)
             pos = n - r  # slot r sits at list index n - r
-            vec = _apply_mcheck_at(qeff, vec, pos)
-    return vec
+            nums = _apply_mcheck_at(qeff, nums, pos)
+            li, lj = occ[pos], occ[pos + 1]
+            den = den * pairing_denominator(qeff, li, lj)
+            occ[pos], occ[pos + 1] = lj - li, li
+    return {key: RatFunc(num, den) for key, num in nums.items()}
 
 
 def project_pi(vec: dict[tuple[Row, ...], RatFunc]) -> SectorVector:

@@ -317,6 +317,17 @@ class TestCanonicalize:
         canon = canonicalize_values(basis, values)
         assert all(p == poly(1) for p in canon.values())
 
+    def test_equal_coefficients_are_one_object(self):
+        m = Multiplicity((2, 1, 1))
+        basis = SectorBasis(m)
+        values = {c: rf(poly(2, k % 3, 4), poly(6)) for k, c in enumerate(basis.configs)}
+        canon = canonicalize_values(basis, values)
+        by_value = {}
+        for p in canon.values():
+            for c in p.coeffs:
+                assert by_value.setdefault(c, c) is c
+        assert len(by_value) < sum(len(p.coeffs) for p in canon.values())
+
 
 class TestBasicMultiplicities:
     def test_counts(self):

@@ -86,6 +86,9 @@ class TestVerifyCommand:
             ["simulate", "--mult", "1,1,1", "--horizon", "-5"],
             ["simulate", "--mult", "1,1,1", "--burn-in", "-3"],
             ["simulate", "--mult", "1,1,1", "--t", "nan"],
+            ["stationary", "--mult", "2,1,1", "--method", "mp", "--q", "2/3"],
+            ["stationary", "--mult", "2,1,1", "--method", "kernel", "--q", "0"],
+            ["stationary", "--mult", "2,1,1", "--all-methods", "--q", "2/3"],
         ],
     )
     def test_vacuous_arguments_exit_one_with_an_error_line(self, capsys, argv):

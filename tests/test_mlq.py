@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import asepx.mlq as mlq_module
 from asepx.asep_core import Multiplicity, SectorBasis, cyclic_shift, stationary_kernel
 from asepx.mlq import (
     BallSystem,
@@ -11,12 +13,14 @@ from asepx.mlq import (
     PairingOutcome,
     PairStep,
     _apply_mcheck_at,
+    _pairing_images,
     bigM_apply,
     enumerate_pairings,
     iter_mlqs,
     m_element,
     mlq_enumerate_direct,
     mlq_state,
+    pairing_denominator,
     pairing_weight,
     project_pi,
 )
@@ -128,6 +132,54 @@ class TestEnumeratePairings:
                 assert m_element(q, i, j, image, b) == total
 
 
+@st.composite
+def _row_pairs(draw):
+    L = draw(st.integers(2, 7))
+    m = draw(st.integers(1, L))
+    l = draw(st.integers(0, m - 1))
+    jcols = draw(st.sets(st.integers(0, L - 1), min_size=m, max_size=m))
+    icols = draw(st.sets(st.integers(0, L - 1), min_size=l, max_size=l))
+    i = tuple(1 if c in icols else 0 for c in range(L))
+    j = tuple(1 if c in jcols else 0 for c in range(L))
+    return i, j
+
+
+_qs = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=50),
+)
+
+
+class TestPairingImages:
+    @settings(max_examples=80, deadline=None)
+    @given(_row_pairs(), _qs)
+    def test_transfer_dp_matches_enumeration(self, rows, q):
+        # the DP numerators over D agree with the weights summed per image
+        # over every complete pairing, and the DP reaches the same images
+        i, j = rows
+        brute = {}
+        for outcome in enumerate_pairings(i, j):
+            w = pairing_weight(outcome, q)
+            brute[outcome.target] = brute.get(outcome.target, RatFunc(Poly())) + w
+        den = pairing_denominator(q, sum(i), sum(j))
+        dp = {image: RatFunc(num, den) for image, num in _pairing_images(q, i, j)}
+        assert dp == brute
+
+    def test_same_errors_as_enumeration(self):
+        for i, j in [((1, 1, 0), (1, 0, 1)), ((1, 1, 1), (1, 1, 0)), ((1, 0), (1, 1, 0))]:
+            with pytest.raises(ValueError) as dp_err:
+                _pairing_images(Fraction(1, 2), i, j)
+            with pytest.raises(ValueError) as enum_err:
+                enumerate_pairings(i, j)
+            assert str(dp_err.value) == str(enum_err.value)
+
+    def test_denominator_formula(self):
+        q = Fraction(2, 3)
+        expected = Poly((1, 0, 0, -q)) * Poly((1, 0, 0, 0, -q))
+        assert pairing_denominator(q, 2, 4) == expected
+        assert pairing_denominator(q, 0, 4) == poly(1)
+
+
 class TestPairingWeight:
     def test_all_trivial_is_one(self):
         p = PairingOutcome(
@@ -216,15 +268,17 @@ class TestMcheckApply:
     def test_contains_fixture_coefficient(self):
         q = Fraction(3, 7)
         i, j, a, b = _example_rows(1, 1)
-        out = _apply_mcheck_at(q, {(i, j): rf(poly(1))}, 0)
-        assert out[(b, a)] == _example_value(1, 1, q)
+        out = _apply_mcheck_at(q, {(i, j): poly(1)}, 0)
+        den = pairing_denominator(q, sum(i), sum(j))
+        assert RatFunc(out[(b, a)], den) == _example_value(1, 1, q)
 
     def test_empty_row_identity_relabeling(self):
         q = Fraction(1, 2)
         j = (1, 0, 1)
         zero = (0, 0, 0)
-        out = _apply_mcheck_at(q, {(zero, j): rf(poly(1))}, 0)
-        assert out == {(j, zero): rf(poly(1))}
+        out = _apply_mcheck_at(q, {(zero, j): poly(1)}, 0)
+        den = pairing_denominator(q, 0, sum(j))
+        assert {k: RatFunc(v, den) for k, v in out.items()} == {(j, zero): rf(poly(1))}
 
     def test_row_sums_match_total_weight(self):
         rng = random.Random(8)
@@ -237,10 +291,11 @@ class TestMcheckApply:
             jcols = rng.sample(range(L), m)
             i = tuple(1 if c in icols else 0 for c in range(L))
             j = tuple(1 if c in jcols else 0 for c in range(L))
-            out = _apply_mcheck_at(q, {(i, j): rf(poly(1))}, 0)
+            out = _apply_mcheck_at(q, {(i, j): poly(1)}, 0)
+            den = pairing_denominator(q, l, m)
             total = RatFunc(Poly())
             for v in out.values():
-                total = total + v
+                total = total + RatFunc(v, den)
             brute = RatFunc(Poly())
             for outcome in enumerate_pairings(i, j):
                 brute = brute + pairing_weight(outcome, q)
@@ -257,7 +312,9 @@ class TestBigM:
         q = Fraction(2, 7)
         lower, upper = (0, 1, 0), (1, 0, 1)
         bs = BallSystem((lower, upper))
-        direct = _apply_mcheck_at(q, {(lower, upper): rf(poly(1))}, 0)
+        direct = _apply_mcheck_at(q, {(lower, upper): poly(1)}, 0)
+        den = pairing_denominator(q, 1, 2)
+        direct = {k: RatFunc(v, den) for k, v in direct.items()}
         assert bigM_apply(q, {bs.rows: rf(poly(1))}) == direct
 
     def test_three_rows_against_direct_enumeration(self):
@@ -286,6 +343,24 @@ class TestBigM:
             if colors == rows:
                 brute = brute + rec.weight
         assert out[(c1, c2, c3)] == brute
+
+    def test_rational_inputs_are_put_over_one_denominator(self):
+        # linear in its input: keys over different denominators are summed
+        q = Fraction(2, 7)
+        inputs = {
+            ((0, 1, 0, 0), (1, 0, 1, 1)): RatFunc(poly(3, 1), one_minus_t_pow(2)),
+            ((1, 0, 0, 0), (1, 0, 1, 1)): RatFunc(poly(1), one_minus_t_pow(3)),
+        }
+        expected = {}
+        for rows, scale in inputs.items():
+            for k, v in bigM_apply(q, {rows: rf(poly(1))}).items():
+                expected[k] = expected.get(k, RatFunc(Poly())) + v * scale
+        assert bigM_apply(q, inputs) == {k: v for k, v in expected.items() if v}
+
+    def test_inconsistent_slot_occupancies_rejected(self):
+        vec = {((0, 1, 0), (1, 0, 1)): rf(poly(1)), ((0, 0, 0), (1, 0, 1)): rf(poly(1))}
+        with pytest.raises(ValueError):
+            bigM_apply(Fraction(1), vec)
 
     def test_occupancy_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -348,6 +423,24 @@ class TestMlqState:
     def test_non_basic_rejected(self):
         with pytest.raises(ValueError):
             mlq_state(Multiplicity((0, 2, 1)), Fraction(1))
+
+    def test_no_enumeration_and_one_ratfunc_per_key(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("pairings enumerated")
+
+        monkeypatch.setattr(mlq_module, "enumerate_pairings", forbidden)
+        monkeypatch.setattr(mlq_module, "pairing_weight", forbidden)
+        built = []
+        init = RatFunc.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(RatFunc, "__init__", counting_init)
+        _pairing_images.cache_clear()
+        state = mlq_state(Multiplicity((2, 1, 2)), Fraction(3, 7))
+        assert len(built) == len(state.values) > 0
 
 
 class TestDirectEnumeration:
