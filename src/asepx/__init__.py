@@ -38,7 +38,6 @@ from .oscillator import (
     s_element,
     s_weight,
     trace_qh,
-    trace_truncated,
 )
 from .scalar import Poly, RatFunc, Rational, random_point
 

@@ -730,13 +730,12 @@ def verify_stationary(m: Multiplicity) -> CheckReport:
     stationary constructions agree after canonical normalization."""
     basis = SectorBasis(m)
     mat = markov_sector(m, basis)
-    mp_vec = mp_stationary(m)
+    mp_canon = mp_stationary(m).canonical()
     witnesses = []
-    nonzero = nonzero_residual(mat, basis, mp_vec.values)
+    nonzero = nonzero_residual(mat, basis, mp_canon)
     if nonzero:
         witnesses.append({"residual_at": nonzero[:3]})
 
-    mp_canon = mp_vec.canonical()
     kernel = stationary_kernel(m)
     mlq_canon = mlq_state(m, Fraction(1)).canonical()
     if mp_canon != kernel:

@@ -2,9 +2,10 @@
 
 Configurations are tuples of site values in {0..n}; the Markov matrix
 acts within each sector of fixed particle content.  The stationary
-vector is computed by exact Gaussian elimination over the field of
-rational functions in t, on the quotient by cyclic shifts, and
-canonically normalized to an integer polynomial vector of content 1.
+vector is computed by fraction-free elimination in the ring of
+polynomials in t, on the quotient by cyclic shifts, canonically
+normalized to an integer polynomial vector of content 1, and certified
+by an exact H v = 0 check on that canonical vector.
 
 A continuous-time simulator with exponential waiting times serves as a
 statistical oracle for the exact results.
@@ -167,12 +168,6 @@ class SparseMatrixRF:
     def get(self, row: int, col: int) -> RatFunc:
         return self.entries.get((row, col), RF_ZERO)
 
-    def column_sums(self) -> list[RatFunc]:
-        sums = [RF_ZERO] * self.dim
-        for (_, col), v in self.entries.items():
-            sums[col] = sums[col] + v
-        return sums
-
 
 def markov_sector(m: Multiplicity, basis: Optional[SectorBasis] = None) -> SparseMatrixRF:
     """Markov matrix restricted to the sector of content m (cyclic wrap)."""
@@ -197,26 +192,16 @@ def markov_sector(m: Multiplicity, basis: Optional[SectorBasis] = None) -> Spars
 # ---------------------------------------------------------------------------
 # exact kernel solver
 
-def _kernel_vector(rows: list[dict[int, RatFunc]], dim: int) -> list[RatFunc]:
+def _kernel_vector(rows: list[dict[int, Poly]], dim: int) -> list[Poly]:
     """Unique (up to scale) kernel vector of the row system, else KernelError.
 
-    Exact elimination over the rational-function field, organized
-    fraction-free: rows are cleared to integer polynomials and reduced
-    by Bareiss pivoting (lowest-degree pivot, exact divisions by the
-    previous pivot), after which the single free unknown is
-    back-substituted over the field.
+    Fraction-free elimination in the polynomial ring: Bareiss pivoting
+    (lowest-degree pivot, exact divisions by the previous pivot), then
+    back-substitution from x_last = the last pivot.  That choice makes
+    the solution the vector of maximal minors (Cramer's rule), so every
+    division of the back-substitution is exact too; a remainder raises.
     """
-    mat: list[list[Poly]] = []
-    for row in rows:
-        den = P_ONE
-        for v in row.values():
-            den = poly_lcm(den, v.den)
-        mat.append(
-            [
-                (row[c].num * (den // row[c].den)) if c in row else P_ZERO
-                for c in range(dim)
-            ]
-        )
+    mat = [[row.get(c, P_ZERO) for c in range(dim)] for row in rows]
     nrows = len(mat)
     col_perm = list(range(dim))
     prev = P_ONE
@@ -243,70 +228,71 @@ def _kernel_vector(rows: list[dict[int, RatFunc]], dim: int) -> list[RatFunc]:
         for i in range(k + 1, nrows):
             head = mat[i][k]
             for j in range(k + 1, dim):
-                num = piv * mat[i][j] - head * mat[k][j]
-                q, r = num.divmod(prev)
-                if not r.is_zero():
-                    raise AssertionError("fraction-free division left a remainder")
-                mat[i][j] = q
+                mat[i][j] = _exact_div(piv * mat[i][j] - head * mat[k][j], prev)
             mat[i][k] = P_ZERO
         prev = piv
         rank = k + 1
     if rank != dim - 1:
         raise KernelError(f"kernel dimension {dim - rank} != 1")
-    vec_perm: list[RatFunc] = [RF_ZERO] * dim
-    vec_perm[dim - 1] = RF_ONE
+    vec_perm: list[Poly] = [P_ZERO] * dim
+    vec_perm[dim - 1] = prev
     for i in range(rank - 1, -1, -1):
-        acc = RF_ZERO
+        acc = P_ZERO
         for j in range(i + 1, dim):
-            if not mat[i][j].is_zero() and vec_perm[j]:
-                acc = acc + RatFunc(mat[i][j]) * vec_perm[j]
-        vec_perm[i] = -(acc / RatFunc(mat[i][i]))
-    vec = [RF_ZERO] * dim
+            if mat[i][j] and vec_perm[j]:
+                acc = acc + mat[i][j] * vec_perm[j]
+        vec_perm[i] = -_exact_div(acc, mat[i][i])
+    vec = [P_ZERO] * dim
     for pos, col in enumerate(col_perm):
         vec[col] = vec_perm[pos]
     return vec
 
 
-def _orbit_reduced_kernel(
-    mat: SparseMatrixRF, basis: SectorBasis
-) -> list[RatFunc]:
-    """Solve on the cyclic-orbit quotient and expand to the full sector."""
+def _exact_div(num: Poly, den: Poly) -> Poly:
+    q, r = num.divmod(den)
+    if r:
+        raise AssertionError("fraction-free division left a remainder")
+    return q
+
+
+def _orbit_reduced_kernel(mat: SparseMatrixRF, basis: SectorBasis) -> list[Poly]:
+    """Solve on the cyclic-orbit quotient and expand to the full sector.
+
+    The Markov rates are polynomials, so the reduced rows sum the
+    entries' numerators.
+    """
     rep_of = cyclic_orbit_reps(basis.configs)
     reps = sorted(set(rep_of.values()))
     rep_index = {r: i for i, r in enumerate(reps)}
 
-    reduced: list[dict[int, RatFunc]] = []
+    reduced: list[dict[int, Poly]] = []
     for rep in reps:
         r = basis.index[rep]
-        row: dict[int, RatFunc] = {}
+        row: dict[int, Poly] = {}
         for col, sigma in enumerate(basis.configs):
             v = mat.entries.get((r, col))
-            if v is None:
-                continue
-            j = rep_index[rep_of[sigma]]
-            cur = row.get(j)
-            new = v if cur is None else cur + v
-            if new:
-                row[j] = new
-            elif cur is not None:
-                del row[j]
-        reduced.append(row)
+            if v is not None:
+                j = rep_index[rep_of[sigma]]
+                row[j] = row.get(j, P_ZERO) + v.num
+        reduced.append({j: p for j, p in row.items() if p})
     wvec = _kernel_vector(reduced, len(reps))
     return [wvec[rep_index[rep_of[sigma]]] for sigma in basis.configs]
 
 
 def nonzero_residual(
-    mat: SparseMatrixRF, basis: SectorBasis, values: dict[Config, RatFunc]
+    mat: SparseMatrixRF, basis: SectorBasis, values: dict[Config, Poly]
 ) -> list[Config]:
     """Configurations where H v is nonzero, exactly, in basis order.
 
-    An empty list certifies that v is a null vector of H.
+    v is a polynomial vector, such as a canonical one, and the Markov
+    rates are polynomials, so the sums need no gcd.  An empty list
+    certifies that v is a null vector of H.
     """
-    sums = [RF_ZERO] * mat.dim
+    sums = [P_ZERO] * mat.dim
     for (r, c), h in mat.entries.items():
         v = values[basis.configs[c]]
         if v:
-            sums[r] = sums[r] + h * v
+            sums[r] = sums[r] + h.num * v
     return [basis.configs[r] for r, s in enumerate(sums) if s]
 
 
@@ -356,18 +342,20 @@ def canonicalize_values(
 def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     """The unique stationary vector of the sector, canonically normalized.
 
-    Exact Gaussian elimination over the rational-function field on the
-    cyclic-orbit quotient, certified by an exact H v = 0 check on the
-    full sector.
+    Fraction-free elimination in the polynomial ring on the cyclic-orbit
+    quotient; the canonical vector it returns is certified by an exact
+    H v = 0 check on the full sector.
     """
     basis = SectorBasis(m)
     mat = markov_sector(m, basis)
     if basis.dim == 1:
         return {basis.configs[0]: P_ONE}
-    values = dict(zip(basis.configs, _orbit_reduced_kernel(mat, basis)))
-    if nonzero_residual(mat, basis, values):
+    kernel = _orbit_reduced_kernel(mat, basis)
+    values = {c: RatFunc(p) for c, p in zip(basis.configs, kernel)}
+    canon = canonicalize_values(basis, values)
+    if nonzero_residual(mat, basis, canon):
         raise KernelError("orbit-reduced solution failed exact residual check")
-    return canonicalize_values(basis, values)
+    return canon
 
 
 # ---------------------------------------------------------------------------

@@ -218,21 +218,6 @@ def trace_qh(w: Union[OscWord, str, NormalForm], q: Fraction) -> RatFunc:
     return total
 
 
-def trace_truncated(
-    w: Union[OscWord, str], q0: Fraction, t0: Fraction, dim: int
-) -> Fraction:
-    """Truncation oracle: sum_{d < dim - P} q0^d <d|w|d> with P = a+ count."""
-    if isinstance(w, str):
-        w = word_from_str(w)
-    p_count = sum(1 for c in w if c == APLUS)
-    total = Fraction(0)
-    for d in range(max(dim - p_count, 0)):
-        d2, coeff = apply_word_to_level(w, d, t0=t0)
-        if d2 == d and coeff:
-            total += q0**d * coeff
-    return total
-
-
 # ---------------------------------------------------------------------------
 # strange five vertex weights
 
@@ -297,18 +282,6 @@ class FockTruncation:
     def safe_window(self, ladder_bound: int) -> int:
         """Largest level whose matrix elements are truncation-free."""
         return self.dim - 1 - ladder_bound
-
-
-def word_matrix(
-    w: OscWord, trunc: FockTruncation, t0: Optional[Fraction] = None
-) -> dict[tuple[int, int], Union[Poly, Fraction]]:
-    """Sparse truncated matrix {(row, col): coeff} of a word."""
-    out = {}
-    for d in range(trunc.dim):
-        d2, coeff = apply_word_to_level(w, d, t0=t0, dim=trunc.dim)
-        if coeff:
-            out[(d2, d)] = coeff
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -378,6 +379,41 @@ class TestRunCheck:
             checks, "r_element", lambda *args: exact(*args).scale(2)
         )
         assert not run_check("zf", n=2, fock_dim=10, trials=2).passed
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_swap_doubled_r_matrix_fails_rtt(self, monkeypatch, n):
+        # a uniformly doubled R cancels from both sides of RTT = TTR, so
+        # only the swap entries (a, b) = (j, i), i != j, are doubled
+        import asepx.algebra_checks as checks
+
+        assert run_check("rtt", n=n, fock_dim=10, trials=2).passed
+        exact = checks.r_element
+
+        def swap_doubled(z, a, b, i, j):
+            v = exact(z, a, b, i, j)
+            return v.scale(2) if (a, b) == (j, i) and i != j else v
+
+        monkeypatch.setattr(checks, "r_element", swap_doubled)
+        assert not run_check("rtt", n=n, fock_dim=10, trials=2).passed
+
+    def test_doubled_hat_term_fails_hat(self, monkeypatch):
+        import asepx.algebra_checks as checks
+
+        assert run_check("hat", n=2, fock_dim=10, trials=2).passed
+        exact = checks.hat_operators
+        cases = [(a, k) for a, h in enumerate(exact(2)) for k in range(len(h.terms))]
+        assert (1, 0) in cases
+        for alpha, k in cases:
+
+            def doubled(n, alpha=alpha, k=k):
+                ops = exact(n)
+                terms = list(ops[alpha].terms)
+                terms[k] = replace(terms[k], coeff=terms[k].coeff.scale(2))
+                ops[alpha] = replace(ops[alpha], terms=tuple(terms))
+                return ops
+
+            monkeypatch.setattr(checks, "hat_operators", doubled)
+            assert not run_check("hat", n=2, fock_dim=10, trials=2).passed, (alpha, k)
 
     def test_report_json_shape(self):
         report = run_check("qp", n=2, trials=2, seed=3)

@@ -117,7 +117,7 @@ class TestMarkovSector:
     def test_column_sums_vanish(self):
         for counts in [(2, 1, 1), (1, 1, 1), (1, 2, 1, 1)]:
             mat = markov_sector(Multiplicity(counts))
-            assert all(not s for s in mat.column_sums())
+            assert all(not s for s in _column_sums(mat))
 
     def test_commutes_with_cyclic_shift(self):
         # P H = H P is equivalent to H[perm(r), perm(c)] = H[r, c]
@@ -212,7 +212,7 @@ class TestStationaryKernel:
         m = Multiplicity((1, 1, 1))
         basis = SectorBasis(m)
         mat = markov_sector(m, basis)
-        values = {c: RatFunc(p) for c, p in stationary_kernel(m).items()}
+        values = dict(stationary_kernel(m))
         assert nonzero_residual(mat, basis, values) == []
         values[(0, 1, 2)] = values[(0, 1, 2)].scale(2)
         # H e_c is nonzero at c and at the three configurations it hops to
@@ -229,8 +229,37 @@ class TestStationaryKernel:
             m = Multiplicity(counts)
             basis = SectorBasis(m)
             full = _kernel_vector(_rows_of(markov_sector(m, basis)), basis.dim)
-            oracle = canonicalize_values(basis, dict(zip(basis.configs, full)))
+            values = {c: RatFunc(p) for c, p in zip(basis.configs, full)}
+            oracle = canonicalize_values(basis, values)
             assert stationary_kernel(m) == oracle, counts
+
+    def test_solve_and_residual_stay_in_the_polynomial_ring(self, monkeypatch):
+        import asepx.asep_core as core
+        import asepx.scalar as scalar
+
+        m = Multiplicity((2, 1, 1, 1))
+        basis = SectorBasis(m)
+        mat = markov_sector(m, basis)
+        calls = {"poly_gcd": 0, "RatFunc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        gcd = counted("poly_gcd", scalar.poly_gcd)
+        monkeypatch.setattr(scalar, "poly_gcd", gcd)
+        monkeypatch.setattr(core, "poly_gcd", gcd)
+        monkeypatch.setattr(
+            RatFunc, "__init__", counted("RatFunc", RatFunc.__init__)
+        )
+        core._orbit_reduced_kernel(mat, basis)
+        assert calls == {"poly_gcd": 0, "RatFunc": 0}
+        canon = stationary_kernel(m)
+        calls.update(poly_gcd=0, RatFunc=0)
+        assert nonzero_residual(mat, basis, canon) == []
+        assert calls == {"poly_gcd": 0, "RatFunc": 0}
 
     def test_cyclic_orbit_reps(self):
         rep_of = cyclic_orbit_reps(SectorBasis(Multiplicity((2, 1, 1, 1))).configs)
@@ -240,11 +269,18 @@ class TestStationaryKernel:
 
 
 def _rows_of(mat):
-    """Oracle input: the sparse Markov matrix as one {col: value} dict per row."""
+    """Oracle input: the sparse Markov matrix as one {col: Poly} dict per row."""
     rows = [dict() for _ in range(mat.dim)]
     for (r, c), v in mat.entries.items():
-        rows[r][c] = v
+        rows[r][c] = v.num
     return rows
+
+
+def _column_sums(mat):
+    sums = [RatFunc(Poly())] * mat.dim
+    for (_, col), v in mat.entries.items():
+        sums[col] = sums[col] + v
+    return sums
 
 
 def _adjugate_column(mat, row):

@@ -17,15 +17,36 @@ from asepx.oscillator import (
     s_element,
     s_weight,
     trace_qh,
-    trace_truncated,
     word_from_str,
     word_imbalance,
-    word_matrix,
     word_to_str,
 )
 from asepx.scalar import Poly, RatFunc, random_point
 
 from conftest import one_minus_t_pow, poly, rf
+
+
+def word_matrix(w, trunc, t0=None):
+    """Oracle: sparse truncated matrix {(row, col): coeff} of a word."""
+    out = {}
+    for d in range(trunc.dim):
+        d2, coeff = apply_word_to_level(w, d, t0=t0, dim=trunc.dim)
+        if coeff:
+            out[(d2, d)] = coeff
+    return out
+
+
+def trace_truncated(w, q0, t0, dim):
+    """Oracle: sum_{d < dim - P} q0^d <d|w|d> with P = a+ count."""
+    if isinstance(w, str):
+        w = word_from_str(w)
+    p_count = sum(1 for c in w if c == APLUS)
+    total = Fraction(0)
+    for d in range(max(dim - p_count, 0)):
+        d2, coeff = apply_word_to_level(w, d, t0=t0)
+        if d2 == d and coeff:
+            total += q0**d * coeff
+    return total
 
 
 class TestNormalOrder:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from asepx.scalar import (
     PoleError,
@@ -155,3 +156,46 @@ class TestJson:
 
     def test_zero_poly_is_empty_array(self):
         assert Poly().to_json() == []
+
+
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_polys = st.lists(_coeffs, max_size=7).map(Poly)
+_nonzero_polys = _polys.filter(bool)
+_points = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+
+
+class TestScalarProperties:
+    """The exact divisions of the kernel solver rest on these laws."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys, _nonzero_polys)
+    def test_divmod_is_euclidean_division(self, a, b):
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys, _polys, _nonzero_polys)
+    def test_gcd_is_monic_common_divisor(self, a, b, c):
+        assume(a or b)
+        for x, y in ((a, b), (a * c, b * c)):
+            g = poly_gcd(x, y)
+            assert g.leading() == 1
+            assert (x % g).is_zero() and (y % g).is_zero()
+        # a planted common factor divides the gcd
+        assert (poly_gcd(a * c, b * c) % c).is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys, _nonzero_polys, _nonzero_polys)
+    def test_ratfunc_cancels_common_factors(self, a, b, c):
+        assert RatFunc(a * c, b * c) == RatFunc(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys, _polys, _polys, _nonzero_polys, _points)
+    def test_eval_is_a_ring_homomorphism(self, a, b, c, d, t0):
+        assert (a + b).eval(t0) == a.eval(t0) + b.eval(t0)
+        assert (a * b).eval(t0) == a.eval(t0) * b.eval(t0)
+        assume(d.eval(t0) != 0)
+        f, g = RatFunc(a, d), RatFunc(b * c, d * d)
+        assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
+        assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
