@@ -15,7 +15,6 @@ from .asep_core import (
     gillespie,
     local_markov,
     markov_sector,
-    multiplicity,
     stationary_kernel,
 )
 from .ctm import build_T, build_X, mp_stationary, mp_trace
@@ -39,6 +38,6 @@ from .oscillator import (
     s_weight,
     trace_qh,
 )
-from .scalar import Poly, RatFunc, Rational, random_point
+from .scalar import Poly, RatFunc, random_point
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from .scalar import (
     RF_ONE,
     RF_ZERO,
     poly_gcd,
-    poly_lcm,
 )
 
 Config = tuple[int, ...]
@@ -69,10 +68,6 @@ class Multiplicity:
             acc += c
             out.append(acc)
         return tuple(reversed(out))
-
-
-def multiplicity(counts: Iterable[int]) -> Multiplicity:
-    return Multiplicity(tuple(counts))
 
 
 def basic_multiplicities(n: int, L: int) -> Iterator[Multiplicity]:
@@ -297,10 +292,12 @@ def nonzero_residual(
 
 
 def canonicalize_values(
-    basis: SectorBasis, values: dict[Config, RatFunc]
+    basis: SectorBasis, values: dict[Config, Poly]
 ) -> dict[Config, Poly]:
     """Canonical normalization used for all cross-method comparisons.
 
+    `values` are polynomial numerators over one shared denominator, which
+    the canonical form ignores; a missing configuration counts as zero.
     Scales the vector so that every entry is a polynomial in t with
     integer coefficients, the collective coefficient gcd is 1, and the
     entry at the lexicographically smallest configuration has positive
@@ -308,13 +305,9 @@ def canonicalize_values(
     one object, so a vector that callers keep holds each distinct
     coefficient once.
     """
-    vals = [values.get(c) or RatFunc(P_ZERO) for c in basis.configs]
-    if all(v.is_zero() for v in vals):
+    polys = [values.get(c, P_ZERO) for c in basis.configs]
+    if not any(polys):
         raise ValueError("cannot canonicalize the zero vector")
-    den = P_ONE
-    for v in vals:
-        den = poly_lcm(den, v.den)
-    polys = [v.num * (den // v.den) for v in vals]
     g = P_ZERO
     for p in polys:
         if p.is_zero():
@@ -351,8 +344,7 @@ def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     if basis.dim == 1:
         return {basis.configs[0]: P_ONE}
     kernel = _orbit_reduced_kernel(mat, basis)
-    values = {c: RatFunc(p) for c, p in zip(basis.configs, kernel)}
-    canon = canonicalize_values(basis, values)
+    canon = canonicalize_values(basis, dict(zip(basis.configs, kernel)))
     if nonzero_residual(mat, basis, canon):
         raise KernelError("orbit-reduced solution failed exact residual check")
     return canon

@@ -51,9 +51,9 @@ def _config_str(config) -> str:
 def _sector_multiplicity(args) -> Multiplicity:
     m = Multiplicity(args.mult)
     if args.n is not None and m.n != args.n:
-        raise SystemExit(f"--n {args.n} inconsistent with --mult {args.mult}")
+        raise ValueError(f"--n {args.n} inconsistent with --mult {args.mult}")
     if args.L is not None and m.L != args.L:
-        raise SystemExit(f"--L {args.L} inconsistent with --mult {args.mult}")
+        raise ValueError(f"--L {args.L} inconsistent with --mult {args.mult}")
     return m
 
 

@@ -9,7 +9,8 @@ the rewrite rules of `oscillator.NormalForm` and evaluated in closed
 form at q = 1.  A trace is invariant under cyclic shift, so a sector's
 traces are taken once per cyclic orbit; each is summed over one common
 denominator, a product of factors (1 - t^j) known from the closed forms,
-and reduced once.
+and reduced once; the sector's traces are put over the lcm of their
+denominators, a `SectorVector`.
 
 Mode numbering: the rightmost column of the rank-n operator uses modes
 1..n-1; the embedded rank-(n-1) operator uses the higher mode labels.
@@ -23,8 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .asep_core import (Config, Multiplicity, SectorBasis, canonicalize_values,
-                        cyclic_orbit_reps)
+from .asep_core import Config, Multiplicity, SectorBasis, cyclic_orbit_reps
 from .mlq import SectorVector
 from .oscillator import (
     AMINUS,
@@ -238,15 +238,13 @@ def mp_trace(sigma: Config) -> RatFunc:
 
 
 def mp_stationary(m: Multiplicity) -> SectorVector:
-    """Matrix-product stationary vector, canonically normalized; one trace per orbit."""
+    """Matrix-product stationary vector over one denominator; one trace per orbit."""
     if not m.is_basic:
         raise ValueError("sector must be basic")
     basis = SectorBasis(m)
     rep_of = cyclic_orbit_reps(basis.configs)
     traces = {rep: mp_trace(rep) for rep in sorted(set(rep_of.values()))}
-    raw = {sigma: traces[rep_of[sigma]] for sigma in basis.configs}
-    canonical = canonicalize_values(basis, raw)
-    return SectorVector(basis, {c: RatFunc(p) for c, p in canonical.items()})
+    return SectorVector.over_lcm(basis, {c: traces[rep_of[c]] for c in basis.configs})
 
 
 # ---------------------------------------------------------------------------

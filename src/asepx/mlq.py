@@ -12,23 +12,24 @@ mask of free upper balls (`_pairing_images`), never by listing the
 pairings.  Every pairing of l lower into l' upper balls at deformation
 qeff has its weight over one denominator, prod_{k=l'-l+1}^{l'}
 (1 - qeff t^k) (`pairing_denominator`), and every key of a tensor
-vector has the same slot occupancies, so the composition carries
-polynomial numerators over one running denominator and normalizes once
-per output key.  The enumerative definition (`enumerate_pairings`,
-`pairing_weight`) and a direct round-by-round enumerator over ball
-diagrams (`iter_mlqs`) are kept as independent oracles.
+vector has the same slot occupancies, so the composition and the
+projection carry polynomial numerators over one running denominator:
+a `SectorVector`, canonicalized from its numerators alone.  The
+enumerative definition (`enumerate_pairings`, `pairing_weight`) and a
+direct round-by-round enumerator over ball diagrams (`iter_mlqs`) are
+kept as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import mul
 from typing import Iterator, Optional
 
-from .asep_core import Config, Multiplicity, SectorBasis
+from .asep_core import Config, Multiplicity, SectorBasis, canonicalize_values
 from .scalar import P_ONE, Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk, poly_lcm
 
 Row = tuple[int, ...]
@@ -68,15 +69,25 @@ class BallSystem:
 
 @dataclass
 class SectorVector:
-    """Rational-function values attached to every configuration of a sector."""
+    """Polynomial numerators over one shared denominator, per configuration."""
 
     basis: SectorBasis
-    values: dict[Config, RatFunc]
+    nums: dict[Config, Poly]
+    den: Poly = P_ONE
+
+    @classmethod
+    def over_lcm(cls, basis: SectorBasis, values: dict[Config, RatFunc]) -> "SectorVector":
+        """Rational-function values put over the lcm of their denominators."""
+        den = reduce(poly_lcm, {v.den for v in values.values()}, P_ONE)
+        return cls(basis, {c: v.num * (den // v.den) for c, v in values.items()}, den)
 
     def canonical(self) -> dict[Config, Poly]:
-        from .asep_core import canonicalize_values
+        return canonicalize_values(self.basis, self.nums)
 
-        return canonicalize_values(self.basis, self.values)
+    @cached_property
+    def values(self) -> dict[Config, RatFunc]:
+        """The reduced rational-function value of every configuration present."""
+        return {c: RatFunc(n, self.den) for c, n in self.nums.items()}
 
 
 def row_from_cols(cols, L: int) -> Row:
@@ -255,8 +266,8 @@ def _apply_mcheck_at(
 
 
 def bigM_apply(
-    q: Fraction, vec: dict[tuple[Row, ...], RatFunc]
-) -> dict[tuple[Row, ...], RatFunc]:
+    q: Fraction, nums: dict[tuple[Row, ...], Poly]
+) -> tuple[dict[tuple[Row, ...], Poly], Poly]:
     """Full pairing operator: all pairing rounds composed on an n-row tensor vector.
 
     Input slots hold ball rows (b_n, ..., b_1) left to right; the output
@@ -264,15 +275,14 @@ def bigM_apply(
     the two-row operator at slot pairs (r, r-1) for r = n down to j+1
     with deformation q^{n-r+1}.  Every key must have the same slot
     occupancies, so each application multiplies the whole vector by one
-    known `pairing_denominator`: the composition runs on polynomial
-    numerators over one running denominator, normalized once per output key.
+    known `pairing_denominator`: the result is (numerators, denominator),
+    the polynomial input numerators carried over one running denominator.
     """
-    occ = [sum(r) for r in next(iter(vec), ())]
+    occ = [sum(r) for r in next(iter(nums), ())]
     n = len(occ)
-    if any([sum(r) for r in key] != occ for key in vec):
+    if any([sum(r) for r in key] != occ for key in nums):
         raise ValueError("inconsistent slot occupancies")
-    den = reduce(poly_lcm, (v.den for v in vec.values()), P_ONE)
-    nums = {key: v.num * (den // v.den) for key, v in vec.items()}
+    den = P_ONE
     for j in range(1, n):
         for r in range(n, j, -1):
             qeff = q ** (n - r + 1)
@@ -281,18 +291,19 @@ def bigM_apply(
             li, lj = occ[pos], occ[pos + 1]
             den = den * pairing_denominator(qeff, li, lj)
             occ[pos], occ[pos + 1] = lj - li, li
-    return {key: RatFunc(num, den) for key, num in nums.items()}
+    return nums, den
 
 
-def project_pi(vec: dict[tuple[Row, ...], RatFunc]) -> SectorVector:
+def project_pi(nums: dict[tuple[Row, ...], Poly], den: Poly = P_ONE) -> SectorVector:
     """Send v_{c_1} (x) ... (x) v_{c_n} to the configuration c_1 + 2 c_2 + ... + n c_n.
 
-    Fails if any site carries two colors (cannot happen for genuine
-    pairing outputs).
+    Numerators over the shared denominator `den` are summed per
+    configuration.  Fails if any site carries two colors (cannot happen
+    for genuine pairing outputs).
     """
-    if not vec:
+    if not nums:
         raise ValueError("empty vector")
-    some_key = next(iter(vec))
+    some_key = next(iter(nums))
     n = len(some_key)
     L = len(some_key[0])
     occupancies = tuple(sum(r) for r in some_key)
@@ -301,8 +312,8 @@ def project_pi(vec: dict[tuple[Row, ...], RatFunc]) -> SectorVector:
         raise ValueError("color rows overfill the ring")
     m = Multiplicity((m0,) + occupancies)
     basis = SectorBasis(m)
-    values: dict[Config, RatFunc] = {}
-    for key, coeff in vec.items():
+    values: dict[Config, Poly] = {}
+    for key, coeff in nums.items():
         if tuple(sum(r) for r in key) != occupancies:
             raise ValueError("inconsistent slot occupancies")
         sigma = [0] * L
@@ -315,7 +326,7 @@ def project_pi(vec: dict[tuple[Row, ...], RatFunc]) -> SectorVector:
         cfg = tuple(sigma)
         cur = values.get(cfg)
         values[cfg] = coeff if cur is None else cur + coeff
-    return SectorVector(basis, values)
+    return SectorVector(basis, values, den)
 
 
 def _ball_systems(m: Multiplicity) -> Iterator[tuple[Row, ...]]:
@@ -344,7 +355,7 @@ def mlq_state(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:
     """
     if not m.is_basic:
         raise ValueError("sector must be basic")
-    return project_pi(bigM_apply(q, dict.fromkeys(_ball_systems(m), RF_ONE)))
+    return project_pi(*bigM_apply(q, dict.fromkeys(_ball_systems(m), P_ONE)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +477,8 @@ def mlq_enumerate_direct(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVe
 
     Independent of the operator pipeline; intended for small sectors.
     """
-    basis = SectorBasis(m)
     values: dict[Config, RatFunc] = {}
     for rec in iter_mlqs(m, q):
         cur = values.get(rec.config)
         values[rec.config] = rec.weight if cur is None else cur + rec.weight
-    return SectorVector(basis, values)
+    return SectorVector.over_lcm(SectorBasis(m), values)

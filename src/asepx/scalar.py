@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 CoeffLike = Union[int, str, Fraction]
 
@@ -47,10 +43,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def const(c: CoeffLike) -> "Poly":
-        return Poly((Fraction(c),))
-
     @staticmethod
     def t_power(k: int, c: CoeffLike = 1) -> "Poly":
         """c * t**k."""
@@ -161,17 +153,6 @@ class Poly:
             acc = acc * t0 + c
         return acc
 
-    def content(self) -> Fraction:
-        """gcd of the coefficients as a positive rational (0 for zero poly)."""
-        if not self.coeffs:
-            return _ZERO
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
-
     # -- encoding --------------------------------------------------------
     def to_json(self) -> list[str]:
         """Coefficients as "num/den" strings, lowest degree first."""
@@ -210,7 +191,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
-P_T = Poly((0, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -266,10 +246,6 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def const(c: CoeffLike) -> "RatFunc":
-        return RatFunc(Poly.const(c))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -152,9 +152,7 @@ def test_criterion_2_stationary_fixtures():
         m = Multiplicity(counts)
         basis = SectorBasis(m)
         expanded = _expand_cyclic(m.L, xi)
-        expected = canonicalize_values(
-            basis, {c: RatFunc(p) for c, p in expanded.items()}
-        )
+        expected = canonicalize_values(basis, expanded)
         got = stationary_kernel(m)
         if got != expected:
             ok = False

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asepx.asep_core import (
     KernelError,
@@ -21,6 +25,7 @@ from asepx.asep_core import (
 from asepx.scalar import Poly, RatFunc, random_point
 
 from conftest import poly, rf
+from test_scalar import _coeffs, _nonzero_polys, _polys
 
 
 class TestLocalMarkov:
@@ -202,10 +207,7 @@ class TestStationaryKernel:
         interp = [
             _lagrange(points, [s[i] for s in samples]) for i in range(dim)
         ]
-        values = {
-            basis.configs[i]: RatFunc(interp[i]) for i in range(dim)
-        }
-        oracle = canonicalize_values(basis, values)
+        oracle = canonicalize_values(basis, dict(zip(basis.configs, interp)))
         assert oracle == stationary_kernel(m)
 
     def test_residual_names_the_broken_configurations(self):
@@ -229,8 +231,7 @@ class TestStationaryKernel:
             m = Multiplicity(counts)
             basis = SectorBasis(m)
             full = _kernel_vector(_rows_of(markov_sector(m, basis)), basis.dim)
-            values = {c: RatFunc(p) for c, p in zip(basis.configs, full)}
-            oracle = canonicalize_values(basis, values)
+            oracle = canonicalize_values(basis, dict(zip(basis.configs, full)))
             assert stationary_kernel(m) == oracle, counts
 
     def test_solve_and_residual_stay_in_the_polynomial_ring(self, monkeypatch):
@@ -260,6 +261,21 @@ class TestStationaryKernel:
         calls.update(poly_gcd=0, RatFunc=0)
         assert nonzero_residual(mat, basis, canon) == []
         assert calls == {"poly_gcd": 0, "RatFunc": 0}
+
+    def test_canonical_vectors_match_the_recorded_digest(self):
+        # sha256 of the canonical kernel vectors of 40 basic sectors,
+        # recorded before `canonicalize_values` took polynomial numerators
+        vectors = {}
+        for n, lengths in ((1, range(2, 7)), (2, range(3, 7)), (3, range(4, 6))):
+            for L in lengths:
+                for m in basic_multiplicities(n, L):
+                    vectors[str(m.counts)] = {
+                        "".join(map(str, c)): p.to_json()
+                        for c, p in stationary_kernel(m).items()
+                    }
+        assert len(vectors) == 40
+        digest = hashlib.sha256(json.dumps(vectors, sort_keys=True).encode()).hexdigest()
+        assert digest == "feeffa7ebca943759a8131b61a6c09b51dd2179bec56fce5e9e2652d1aa38256"
 
     def test_cyclic_orbit_reps(self):
         rep_of = cyclic_orbit_reps(SectorBasis(Multiplicity((2, 1, 1, 1))).configs)
@@ -335,12 +351,15 @@ def _lagrange(xs, ys):
     return total
 
 
+_SIX = SectorBasis(Multiplicity((1, 1, 1)))
+
+
 class TestCanonicalize:
     def test_scaling_invariance(self):
         m = Multiplicity((1, 1, 1))
         basis = SectorBasis(m)
-        base = {c: rf(poly(1, k + 1)) for k, c in enumerate(basis.configs)}
-        scale = rf(poly(3, 0, 7), poly(2, 1))
+        base = {c: poly(1, k + 1) for k, c in enumerate(basis.configs)}
+        scale = poly(3, 0, 7).scale(Fraction(-5, 2))
         scaled = {c: v * scale for c, v in base.items()}
         assert canonicalize_values(basis, base) == canonicalize_values(
             basis, scaled
@@ -349,20 +368,36 @@ class TestCanonicalize:
     def test_sign_and_content(self):
         m = Multiplicity((1, 1))
         basis = SectorBasis(m)
-        values = {c: rf(poly(Fraction(-2, 3))) for c in basis.configs}
+        values = {c: poly(Fraction(-2, 3)) for c in basis.configs}
         canon = canonicalize_values(basis, values)
         assert all(p == poly(1) for p in canon.values())
 
     def test_equal_coefficients_are_one_object(self):
         m = Multiplicity((2, 1, 1))
         basis = SectorBasis(m)
-        values = {c: rf(poly(2, k % 3, 4), poly(6)) for k, c in enumerate(basis.configs)}
+        values = {
+            c: poly(2, k % 3, 4).scale(Fraction(1, 6)) for k, c in enumerate(basis.configs)
+        }
         canon = canonicalize_values(basis, values)
         by_value = {}
         for p in canon.values():
             for c in p.coeffs:
                 assert by_value.setdefault(c, c) is c
         assert len(by_value) < sum(len(p.coeffs) for p in canon.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_polys, min_size=6, max_size=6).filter(any), _nonzero_polys,
+           _coeffs.filter(bool))
+    def test_canonical_form_is_primitive_and_scale_free(self, polys, s, r):
+        values = dict(zip(_SIX.configs, polys))
+        canon = canonicalize_values(_SIX, values)
+        scaled = {c: (p * s).scale(r) for c, p in values.items()}
+        assert canonicalize_values(_SIX, scaled) == canon
+        coeffs = [a for p in canon.values() for a in p.coeffs]
+        assert all(a.denominator == 1 for a in coeffs)
+        assert gcd(*(a.numerator for a in coeffs)) == 1
+        first = next(canon[c] for c in _SIX.configs if canon[c])
+        assert first.leading() > 0
 
 
 class TestBasicMultiplicities:

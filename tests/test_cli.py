@@ -54,10 +54,6 @@ class TestStationaryCommand:
         entry = data["state"]["012"]
         assert set(entry) == {"num", "den"}
 
-    def test_inconsistent_flags_exit_nonzero(self, capsys):
-        with pytest.raises(SystemExit):
-            run(["stationary", "--n", "3", "--mult", "2,1,1"])
-
 
 class TestVerifyCommand:
     def test_zf_suite_passes(self, capsys):
@@ -89,6 +85,8 @@ class TestVerifyCommand:
             ["stationary", "--mult", "2,1,1", "--method", "mp", "--q", "2/3"],
             ["stationary", "--mult", "2,1,1", "--method", "kernel", "--q", "0"],
             ["stationary", "--mult", "2,1,1", "--all-methods", "--q", "2/3"],
+            ["stationary", "--n", "3", "--mult", "2,1,1"],
+            ["stationary", "--mult", "1,1,1", "--L", "4"],
         ],
     )
     def test_vacuous_arguments_exit_one_with_an_error_line(self, capsys, argv):

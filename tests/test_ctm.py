@@ -287,6 +287,23 @@ class TestOrbitReduction:
         assert len(traced) == 12 == len(set(traced))
         assert got == stationary_kernel(Multiplicity((2, 1, 1, 1)))
 
+    def test_canonicalized_once(self, monkeypatch):
+        import asepx.asep_core as core
+        import asepx.mlq as mlq
+
+        calls = []
+        canonicalize = core.canonicalize_values
+
+        def counting(basis, values):
+            calls.append(basis)
+            return canonicalize(basis, values)
+
+        for module in (core, mlq, ctm):
+            monkeypatch.setattr(module, "canonicalize_values", counting, raising=False)
+        got = mp_stationary(Multiplicity((2, 1, 1))).canonical()
+        assert len(calls) == 1
+        assert got == _expand(4, {"0012": (3, 1), "0102": (2, 2), "1002": (1, 3)})
+
     def test_common_denominator_matches_per_key_sum(self):
         configs = [*SectorBasis(Multiplicity((1, 1, 1, 1))).configs,
                    *SectorBasis(Multiplicity((2, 1, 1))).configs,
