@@ -9,7 +9,6 @@ of the algebraic identities that tie them together.
 from .asep_core import (
     Multiplicity,
     SectorBasis,
-    SparseMatrixRF,
     basic_multiplicities,
     cyclic_shift,
     gillespie,

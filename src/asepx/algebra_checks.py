@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .asep_core import (
     Multiplicity,
     SectorBasis,
+    compositions,
     markov_sector,
     nonzero_residual,
     stationary_kernel,
@@ -192,16 +193,6 @@ def check_quasi_periodicity(n: int, z0: Fraction) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # L operators on the symmetric tensor levels
-
-
-def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def l_element(

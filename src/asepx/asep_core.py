@@ -20,15 +20,7 @@ from itertools import permutations
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator, Optional
 
-from .scalar import (
-    P_ONE,
-    P_ZERO,
-    Poly,
-    RatFunc,
-    RF_ONE,
-    RF_ZERO,
-    poly_gcd,
-)
+from .scalar import P_ONE, P_ZERO, Poly, poly_gcd
 
 Config = tuple[int, ...]
 
@@ -70,20 +62,21 @@ class Multiplicity:
         return tuple(reversed(out))
 
 
+def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative integers summing to `total`, in lexicographic order."""
+    if parts == 1:
+        return [(total,)]
+    out = []
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
+
+
 def basic_multiplicities(n: int, L: int) -> Iterator[Multiplicity]:
     """All basic sectors of the n-species model on L sites."""
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            if total >= 1:
-                yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for c in compositions(L, n + 1):
-        yield Multiplicity(c)
+    for c in compositions(L - n - 1, n + 1):
+        yield Multiplicity(tuple(x + 1 for x in c))
 
 
 class SectorBasis:
@@ -142,35 +135,18 @@ def local_markov(n: int) -> list[list[Poly]]:
     return mat
 
 
-class SparseMatrixRF:
-    """Sparse square matrix over rational functions; absent entry is zero."""
+def markov_sector(
+    m: Multiplicity, basis: Optional[SectorBasis] = None
+) -> dict[tuple[int, int], Poly]:
+    """Markov matrix restricted to the sector of content m (cyclic wrap).
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.entries: dict[tuple[int, int], RatFunc] = {}
-
-    def add(self, row: int, col: int, value: RatFunc) -> None:
-        if not value:
-            return
-        key = (row, col)
-        cur = self.entries.get(key)
-        new = value if cur is None else cur + value
-        if new:
-            self.entries[key] = new
-        elif cur is not None:
-            del self.entries[key]
-
-    def get(self, row: int, col: int) -> RatFunc:
-        return self.entries.get((row, col), RF_ZERO)
-
-
-def markov_sector(m: Multiplicity, basis: Optional[SectorBasis] = None) -> SparseMatrixRF:
-    """Markov matrix restricted to the sector of content m (cyclic wrap)."""
+    Sparse: {(row, col): rate polynomial}, an absent entry is zero.
+    """
     if basis is None:
         basis = SectorBasis(m)
     L = m.L
-    mat = SparseMatrixRF(basis.dim)
-    rf_t = RatFunc(Poly((0, 1)))
+    mat: dict[tuple[int, int], Poly] = {}
+    t = Poly((0, 1))
     for col, sigma in enumerate(basis.configs):
         for i in range(L):
             a, b = sigma[i], sigma[(i + 1) % L]
@@ -178,9 +154,11 @@ def markov_sector(m: Multiplicity, basis: Optional[SectorBasis] = None) -> Spars
                 continue
             target = list(sigma)
             target[i], target[(i + 1) % L] = b, a
-            rate = rf_t if a < b else RF_ONE
-            mat.add(basis.index[tuple(target)], col, rate)
-            mat.add(col, col, -rate)
+            rate = t if a < b else P_ONE
+            # rates are positive, so no entry cancels to zero
+            row = basis.index[tuple(target)]
+            mat[row, col] = mat.get((row, col), P_ZERO) + rate
+            mat[col, col] = mat.get((col, col), P_ZERO) - rate
     return mat
 
 
@@ -250,12 +228,8 @@ def _exact_div(num: Poly, den: Poly) -> Poly:
     return q
 
 
-def _orbit_reduced_kernel(mat: SparseMatrixRF, basis: SectorBasis) -> list[Poly]:
-    """Solve on the cyclic-orbit quotient and expand to the full sector.
-
-    The Markov rates are polynomials, so the reduced rows sum the
-    entries' numerators.
-    """
+def _orbit_reduced_kernel(mat: dict[tuple[int, int], Poly], basis: SectorBasis) -> list[Poly]:
+    """Solve on the cyclic-orbit quotient and expand to the full sector."""
     rep_of = cyclic_orbit_reps(basis.configs)
     reps = sorted(set(rep_of.values()))
     rep_index = {r: i for i, r in enumerate(reps)}
@@ -265,17 +239,17 @@ def _orbit_reduced_kernel(mat: SparseMatrixRF, basis: SectorBasis) -> list[Poly]
         r = basis.index[rep]
         row: dict[int, Poly] = {}
         for col, sigma in enumerate(basis.configs):
-            v = mat.entries.get((r, col))
+            v = mat.get((r, col))
             if v is not None:
                 j = rep_index[rep_of[sigma]]
-                row[j] = row.get(j, P_ZERO) + v.num
+                row[j] = row.get(j, P_ZERO) + v
         reduced.append({j: p for j, p in row.items() if p})
     wvec = _kernel_vector(reduced, len(reps))
     return [wvec[rep_index[rep_of[sigma]]] for sigma in basis.configs]
 
 
 def nonzero_residual(
-    mat: SparseMatrixRF, basis: SectorBasis, values: dict[Config, Poly]
+    mat: dict[tuple[int, int], Poly], basis: SectorBasis, values: dict[Config, Poly]
 ) -> list[Config]:
     """Configurations where H v is nonzero, exactly, in basis order.
 
@@ -283,11 +257,11 @@ def nonzero_residual(
     rates are polynomials, so the sums need no gcd.  An empty list
     certifies that v is a null vector of H.
     """
-    sums = [P_ZERO] * mat.dim
-    for (r, c), h in mat.entries.items():
+    sums = [P_ZERO] * basis.dim
+    for (r, c), h in mat.items():
         v = values[basis.configs[c]]
         if v:
-            sums[r] = sums[r] + h.num * v
+            sums[r] = sums[r] + h * v
     return [basis.configs[r] for r, s in enumerate(sums) if s]
 
 

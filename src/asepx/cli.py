@@ -18,6 +18,7 @@ from .asep_core import Multiplicity, SectorBasis, gillespie, markov_sector, stat
 from .ctm import build_X, mp_stationary
 from .mlq import iter_mlqs, mlq_state
 from .oscillator import multimode_word_to_str
+from .scalar import RatFunc
 
 SCHEMA = "asepx/1"
 
@@ -69,7 +70,7 @@ def cmd_sector(args) -> int:
         "dimension": basis.dim,
         "configs": [_config_str(c) for c in basis.configs],
         "matrix": {
-            f"{r},{c}": v.to_json() for (r, c), v in sorted(mat.entries.items())
+            f"{r},{c}": RatFunc(v).to_json() for (r, c), v in sorted(mat.items())
         },
     }
     _emit(payload, args.format)

@@ -14,10 +14,12 @@ qeff has its weight over one denominator, prod_{k=l'-l+1}^{l'}
 (1 - qeff t^k) (`pairing_denominator`), and every key of a tensor
 vector has the same slot occupancies, so the composition and the
 projection carry polynomial numerators over one running denominator:
-a `SectorVector`, canonicalized from its numerators alone.  The
-enumerative definition (`enumerate_pairings`, `pairing_weight`) and a
-direct round-by-round enumerator over ball diagrams (`iter_mlqs`) are
-kept as independent oracles.
+a `SectorVector`, canonicalized from its numerators alone.
+
+The enumerative definition of the pairing rule (`enumerate_pairings`,
+`pairing_weight`) lists the pairings of one row pair one by one, and
+`iter_mlqs` walks whole queues round by round over it; these are the
+independent oracle of the operator form and the source of `dump-mlq`.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def _step_stats(src: int, tgt: int, free_mask: int, L: int) -> tuple[int, int]:
     return wrapped, skipped
 
 
-def enumerate_pairings(i: Row, j: Row) -> list[PairingOutcome]:
+@lru_cache(maxsize=None)
+def enumerate_pairings(i: Row, j: Row) -> tuple[PairingOutcome, ...]:
     """All pairings of the balls of row i into free balls of row j.
 
     Lower balls are processed left to right; each picks any free upper
@@ -150,9 +153,10 @@ def enumerate_pairings(i: Row, j: Row) -> list[PairingOutcome]:
             steps.pop()
 
     rec(0, full_mask, [])
-    return outcomes
+    return tuple(outcomes)
 
 
+@lru_cache(maxsize=None)
 def pairing_weight(p: PairingOutcome, qeff: Fraction) -> RatFunc:
     """Product over non-trivial steps of (1-t) t^skipped qeff^wrapped / (1 - qeff t^free)."""
     total = RF_ONE
@@ -379,97 +383,43 @@ def iter_mlqs(
 ) -> Iterator[MLQRecord]:
     """Enumerate multiline queues of the sector with their exact weights.
 
-    Rounds run over colors c = n, n-1, ..., 2; within a round the color
-    climbs row by row, processing landed balls left to right, with the
-    forced trivial pairing and the wrapped/skipped/free statistics
-    weighted by deformation q^(c - r + 1) at row r.  With `ball_system`
-    given, only the queues over that one ball diagram are produced.
+    Rounds run over colors c = n, n-1, ..., 2.  In round c the still
+    uncolored balls of row c take color c and climb to row 1: from row r
+    to row r-1 they pair into the free balls of row r-1 by
+    `enumerate_pairings`, weighted by `pairing_weight` at deformation
+    q^(c - r + 1).  The balls of row 1 left free take color 1.  With
+    `ball_system` given, only the queues over that one ball diagram are
+    produced.
     """
     if not m.is_basic:
         raise ValueError("sector must be basic")
-    n = m.n
-    L = m.L
-    stacks = (
-        [ball_system.rows] if ball_system is not None else _ball_systems(m)
-    )
+    stacks = [ball_system.rows] if ball_system is not None else _ball_systems(m)
     for stack in stacks:
-        # present[r] = set of columns still holding an uncolored ball in row r
-        base_present = {
-            r: frozenset(c for c in range(L) if stack[n - r][c])
-            for r in range(1, n + 1)
-        }
-        colors0: dict[int, frozenset] = {}
 
-        def finish(present, colors, arrows, weight):
-            colors = dict(colors)
-            colors[1] = present[1]
-            sigma = [0] * L
-            for color, cols in colors.items():
-                for c in cols:
-                    sigma[c] = color
-            return MLQRecord(stack, tuple(arrows), weight, tuple(sigma))
-
-        def run_round(c_color, present, colors, arrows, weight):
-            """Yield states after color c_color has climbed to row 1."""
-            if c_color == 1:
-                yield finish(present, colors, arrows, weight)
+        def climb(c, r, row, free, sigma, arrows, weight):
+            # color c holds the balls `row` of row r; free[k] are row k's uncolored balls
+            if r == 1:
+                sigma = tuple(c if b else s for b, s in zip(row, sigma))
+                if c == 1:
+                    yield MLQRecord(stack, arrows, weight, sigma)
+                else:
+                    yield from climb(c - 1, c - 1, free[c - 1], free, sigma, arrows, weight)
                 return
+            qeff = q ** (c - r + 1)
+            for p in enumerate_pairings(row, free[r - 1]):
+                left = tuple(f - b for f, b in zip(free[r - 1], p.target))
+                yield from climb(
+                    c,
+                    r - 1,
+                    p.target,
+                    free[:r - 1] + (left,) + free[r:],
+                    sigma,
+                    arrows + tuple((s.src, s.tgt, r) for s in p.steps),
+                    weight * pairing_weight(p, qeff),
+                )
 
-            def climb(r, sources, present, arrows, weight):
-                # pair `sources` (in row r) into row r-1
-                if r == 1:
-                    colors2 = dict(colors)
-                    colors2[c_color] = frozenset(sources)
-                    yield from run_round(
-                        c_color - 1, present, colors2, arrows, weight
-                    )
-                    return
-                qeff = q ** (c_color - r + 1)
-
-                def pair(idx, free, landed, arrows, weight):
-                    if idx == len(sources):
-                        present2 = dict(present)
-                        present2[r - 1] = frozenset(free)
-                        yield from climb(
-                            r - 1, sorted(landed), present2, arrows, weight
-                        )
-                        return
-                    src = sorted(sources)[idx]
-                    nfree = len(free)
-                    if src in free:
-                        yield from pair(
-                            idx + 1,
-                            free - {src},
-                            landed + [src],
-                            arrows + [(src, src, r)],
-                            weight,
-                        )
-                        return
-                    free_mask = 0
-                    for col in free:
-                        free_mask |= 1 << col
-                    for tgt in sorted(free):
-                        wrapped, skipped = _step_stats(src, tgt, free_mask, L)
-                        num = (
-                            Poly((1, -1))
-                            .shift(skipped)
-                            .scale(qeff**wrapped)
-                        )
-                        wstep = RatFunc(num, one_minus_qtk(qeff, nfree))
-                        yield from pair(
-                            idx + 1,
-                            free - {tgt},
-                            landed + [tgt],
-                            arrows + [(src, tgt, r)],
-                            weight * wstep,
-                        )
-
-                yield from pair(0, set(present[r - 1]), [], arrows, weight)
-
-            start = sorted(present[c_color])
-            yield from climb(c_color, start, present, arrows, weight)
-
-        yield from run_round(n, base_present, colors0, [], RF_ONE)
+        free = (None,) + stack[::-1]  # free[r] is row r, stack[n - r]
+        yield from climb(m.n, m.n, free[m.n], free, (0,) * m.L, (), RF_ONE)
 
 
 def mlq_enumerate_direct(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:

@@ -22,9 +22,9 @@ from asepx.asep_core import (
     nonzero_residual,
     stationary_kernel,
 )
-from asepx.scalar import Poly, RatFunc, random_point
+from asepx.scalar import P_ZERO, Poly, RatFunc, random_point
 
-from conftest import poly, rf
+from conftest import poly
 from test_scalar import _coeffs, _nonzero_polys, _polys
 
 
@@ -104,25 +104,25 @@ class TestMarkovSector:
         for r in range(12):
             for c in range(12):
                 expected = _SYMBOLS[_PRINTED_MATRIX[r][c]]
-                got = mat.get(order[r], order[c])
-                assert got == RatFunc(expected), (r, c)
+                got = mat.get((order[r], order[c]), P_ZERO)
+                assert got == expected, (r, c)
 
     def test_two_site_ring(self):
         # both bonds act on the same pair, so rates double
         m = Multiplicity((1, 1))
         mat = markov_sector(m)
-        t1 = rf(poly(1, 1))
-        assert mat.get(0, 0) == -t1 and mat.get(1, 1) == -t1
-        assert mat.get(0, 1) == t1 and mat.get(1, 0) == t1
+        t1 = poly(1, 1)
+        assert mat.get((0, 0), P_ZERO) == -t1 and mat.get((1, 1), P_ZERO) == -t1
+        assert mat.get((0, 1), P_ZERO) == t1 and mat.get((1, 0), P_ZERO) == t1
 
     def test_frozen_sector_is_zero_matrix(self):
-        mat = markov_sector(Multiplicity((4, 0, 0)))
-        assert mat.dim == 1 and not mat.entries
+        m = Multiplicity((4, 0, 0))
+        assert SectorBasis(m).dim == 1 and not markov_sector(m)
 
     def test_column_sums_vanish(self):
         for counts in [(2, 1, 1), (1, 1, 1), (1, 2, 1, 1)]:
-            mat = markov_sector(Multiplicity(counts))
-            assert all(not s for s in _column_sums(mat))
+            m = Multiplicity(counts)
+            assert all(not s for s in _column_sums(markov_sector(m), SectorBasis(m).dim))
 
     def test_commutes_with_cyclic_shift(self):
         # P H = H P is equivalent to H[perm(r), perm(c)] = H[r, c]
@@ -133,9 +133,9 @@ class TestMarkovSector:
             basis.index[c]: basis.index[cyclic_shift(c)] for c in basis.configs
         }
         conjugated = {
-            (perm[r], perm[c]): v for (r, c), v in mat.entries.items()
+            (perm[r], perm[c]): v for (r, c), v in mat.items()
         }
-        assert conjugated == mat.entries
+        assert conjugated == mat
 
 
 class TestCyclicShift:
@@ -201,7 +201,7 @@ class TestStationaryKernel:
         samples = []
         for t0 in points:
             dense = [[Fraction(0)] * dim for _ in range(dim)]
-            for (r, c), v in mat.entries.items():
+            for (r, c), v in mat.items():
                 dense[r][c] = v.eval(t0)
             samples.append(_adjugate_column(dense, 0))
         interp = [
@@ -230,7 +230,7 @@ class TestStationaryKernel:
         for counts in [(1, 2, 1), (2, 1, 1), (1, 1, 1, 1)]:
             m = Multiplicity(counts)
             basis = SectorBasis(m)
-            full = _kernel_vector(_rows_of(markov_sector(m, basis)), basis.dim)
+            full = _kernel_vector(_rows_of(markov_sector(m, basis), basis.dim), basis.dim)
             oracle = canonicalize_values(basis, dict(zip(basis.configs, full)))
             assert stationary_kernel(m) == oracle, counts
 
@@ -284,17 +284,17 @@ class TestStationaryKernel:
             assert rep == min(sigma[i:] + sigma[:i] for i in range(len(sigma)))
 
 
-def _rows_of(mat):
+def _rows_of(mat, dim):
     """Oracle input: the sparse Markov matrix as one {col: Poly} dict per row."""
-    rows = [dict() for _ in range(mat.dim)]
-    for (r, c), v in mat.entries.items():
-        rows[r][c] = v.num
+    rows = [dict() for _ in range(dim)]
+    for (r, c), v in mat.items():
+        rows[r][c] = v
     return rows
 
 
-def _column_sums(mat):
-    sums = [RatFunc(Poly())] * mat.dim
-    for (_, col), v in mat.entries.items():
+def _column_sums(mat, dim):
+    sums = [P_ZERO] * dim
+    for (_, col), v in mat.items():
         sums[col] = sums[col] + v
     return sums
 

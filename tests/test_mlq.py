@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -467,3 +469,37 @@ class TestDirectEnumeration:
     def test_single_species_uniform(self):
         direct = mlq_enumerate_direct(Multiplicity((2, 2)), Fraction(1))
         assert set(direct.values.values()) == {rf(poly(1))}
+
+    def test_records_match_the_recorded_digest(self):
+        # sha256 over every record of iter_mlqs, in order, recorded before
+        # iter_mlqs walked the rounds over `enumerate_pairings`
+        digest = hashlib.sha256()
+        for counts in [(1, 2, 1), (2, 1, 1, 1), (2, 2, 1)]:
+            for q in (Fraction(1), Fraction(2, 5)):
+                for rec in iter_mlqs(Multiplicity(counts), q):
+                    record = [rec.rows, rec.arrows, rec.weight.to_json(), rec.config]
+                    digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == (
+            "3ecc0573099435d02e55c958f6b7ae9cf61f2f8051827592aa00a2e1e1c85e66"
+        )
+
+    def test_queues_are_walked_over_enumerate_pairings(self, monkeypatch):
+        # (1,2,1) has 4 * 4 ball diagrams and one row step each, and every
+        # queue is one pairing outcome with its weight: the lone lower ball
+        # pairs trivially unless the hole of the upper row is above it
+        calls = {"enumerate_pairings": 0, "pairing_weight": 0}
+
+        def counted(name):
+            fn = getattr(mlq_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(mlq_module, name, counted(name))
+        records = list(iter_mlqs(Multiplicity((1, 2, 1)), Fraction(1)))
+        assert calls == {"enumerate_pairings": 16, "pairing_weight": len(records)}
+        assert len(records) == 12 * 1 + 4 * 3
