@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, inf, lcm
+from math import inf
 from typing import Iterable, Iterator, Optional
 
-from .scalar import P_ONE, P_ZERO, Poly, poly_gcd
+from .scalar import P_ONE, P_ZERO, Poly, content, poly_gcd, primitive
 
 Config = tuple[int, ...]
 
@@ -286,22 +286,18 @@ def canonicalize_values(
     for p in polys:
         if p.is_zero():
             continue
-        g = p.monic() if g.is_zero() else poly_gcd(g, p)
+        g = p if g.is_zero() else poly_gcd(g, p)
         if g.degree == 0:
             break
     if g.degree > 0:
+        g = primitive(g)  # so that integer numerators give int quotients
         polys = [p // g for p in polys]
-    num_gcd, den_lcm = 0, 1
-    for p in polys:
-        for c in p.coeffs:
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = lcm(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
+    scale = content(polys)
     if next(p for p in polys if not p.is_zero()).leading() < 0:
-        content = -content
+        scale = -scale
     shared: dict[Fraction, Fraction] = {}
     return {
-        c: Poly([shared.setdefault(x, x) for x in (a / content for a in p.coeffs)])
+        c: Poly([shared.setdefault(x, x) for x in (a / scale for a in p.coeffs)])
         for c, p in zip(basis.configs, polys)
     }
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra_checks import run_check
 from .asep_core import Multiplicity, SectorBasis, gillespie, markov_sector, stationary_kernel
@@ -43,6 +44,27 @@ def _emit(payload: dict, fmt: str) -> None:
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
+
+
+def _emit_streamed(payload: dict, key: str, items: Iterable, fmt: str) -> None:
+    """`_emit` of `payload` plus a last entry `key: list(items)`, one item at a time."""
+    write = sys.stdout.write
+    if fmt == "json":
+        head, tail = json.dumps({**payload, key: 0}, sort_keys=True, indent=2).split(
+            f'"{key}": 0', 1)
+        write(f'{head}"{key}": [')
+        sep = ""
+        for item in items:
+            text = json.dumps(item, sort_keys=True, indent=2).replace("\n", "\n    ")
+            write(f"{sep}\n    {text}")
+            sep = ","
+        write(("\n  ]" if sep else "]") + tail + "\n")
+    else:
+        _emit(payload, fmt)
+        write(f"{key}: [")
+        for n, item in enumerate(items):
+            write((", " if n else "") + repr(item))
+        write("]\n")
 
 
 def _config_str(config) -> str:
@@ -171,18 +193,16 @@ def cmd_dump_x(args) -> int:
 
 def cmd_dump_mlq(args) -> int:
     m = _sector_multiplicity(args)
-    queues = []
-    for rec in iter_mlqs(m, args.q):
-        queues.append(
-            {
-                "rows": ["".join(str(b) for b in row) for row in rec.rows],
-                "arrows": [list(a) for a in rec.arrows],
-                "weight": rec.weight.to_json(),
-                "config": _config_str(rec.config),
-            }
-        )
-    payload = {"schema": SCHEMA, "q": str(args.q), "mlqs": queues}
-    _emit(payload, args.format)
+    queues = (
+        {
+            "rows": ["".join(str(b) for b in row) for row in rec.rows],
+            "arrows": [list(a) for a in rec.arrows],
+            "weight": rec.weight.to_json(),
+            "config": _config_str(rec.config),
+        }
+        for rec in iter_mlqs(m, args.q)
+    )
+    _emit_streamed({"schema": SCHEMA, "q": str(args.q)}, "mlqs", queues, args.format)
     return 0
 
 

@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: rationals, polynomials in t, rational functions in t.
 
 Every quantity that enters an exact pipeline is built from these types.
-A polynomial is an immutable tuple of Fraction coefficients indexed by
-degree, with no trailing zeros (the zero polynomial has an empty tuple).
-A rational function is a reduced fraction of two polynomials whose
-denominator is monic and nonzero; equality of canonical forms is
-structural equality.
+A polynomial is an immutable tuple of coefficients indexed by degree,
+each an int when integral and a Fraction otherwise (never a float), with
+no trailing zeros (the zero polynomial has an empty tuple); so integer
+polynomials pay no Fraction normalization.  A rational function is a
+reduced fraction of two polynomials whose denominator is monic and
+nonzero; equality of canonical forms is structural equality.
 
 The variable t stays symbolic throughout.  All other parameters (q, z,
 x, y) are substituted as exact Fractions before they reach this layer,
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 CoeffLike = Union[int, str, Fraction]
 
@@ -27,13 +29,21 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
+def _coeff(c: CoeffLike) -> Union[int, Fraction]:
+    """c as an int if integral, else a Fraction (3 == Fraction(3), same hash and str)."""
+    if type(c) is int:
+        return c
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """Univariate polynomial in t over exact rationals."""
+    """Univariate polynomial in t over the rationals, int-where-integral."""
 
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -46,7 +56,7 @@ class Poly:
     @staticmethod
     def t_power(k: int, c: CoeffLike = 1) -> "Poly":
         """c * t**k."""
-        return Poly((0,) * k + (Fraction(c),))
+        return Poly((0,) * k + (c,))
 
     # -- basic queries -------------------------------------------------
     @property
@@ -57,7 +67,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
+    def leading(self) -> Union[int, Fraction]:
         if not self.coeffs:
             return _ZERO
         return self.coeffs[-1]
@@ -94,7 +104,7 @@ class Poly:
         return Poly(out)
 
     def scale(self, c: CoeffLike) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return P_ZERO
         return Poly(tuple(a * c for a in self.coeffs))
@@ -129,7 +139,8 @@ class Poly:
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
-                q = c / lead
+                exact = type(c) is int and type(lead) is int and not c % lead
+                q = c // lead if exact else Fraction(c) / lead
                 quot[i - dd] = q
                 for j, d in enumerate(dv):
                     rem[i - dd + j] -= q * d
@@ -144,11 +155,11 @@ class Poly:
     def monic(self) -> "Poly":
         if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        inv = 1 / self.coeffs[-1]
+        inv = Fraction(1) / self.coeffs[-1]
         return Poly(tuple(c * inv for c in self.coeffs))
 
     def eval(self, t0: Fraction) -> Fraction:
-        acc = _ZERO
+        acc = Fraction(0)  # a Fraction even at an int t0: callers divide values
         for c in reversed(self.coeffs):
             acc = acc * t0 + c
         return acc
@@ -160,7 +171,7 @@ class Poly:
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Poly":
-        return Poly(tuple(Fraction(s) for s in data))
+        return Poly(data)
 
     # -- dunder plumbing ---------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -193,14 +204,29 @@ P_ZERO = Poly()
 P_ONE = Poly((1,))
 
 
+def content(polys: Iterable[Poly]) -> Fraction:
+    """Positive gcd of the coefficient numerators over the lcm of the denominators."""
+    cs = [c for p in polys for c in p.coeffs]
+    return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
+
+
+def primitive(p: Poly) -> Poly:
+    """p over its content: integer coefficients with gcd 1 and the sign of p."""
+    c = content((p,))
+    if not p or c == 1:
+        return p
+    n, d = c.numerator, c.denominator  # exact integer divisions below
+    return Poly([a.numerator * (d // a.denominator) // n for a in p.coeffs])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm (monic at each step)."""
-    a, b = a.monic() if a else a, b.monic() if b else b
+    """Monic gcd by the primitive pseudo-remainder sequence over the integers,
+    whose divisions are exact (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6)."""
+    a, b = primitive(a), primitive(b)
     while b:
-        a, b = b, (a % b)
-        if b:
-            b = b.monic()
-    return a
+        r = a.scale(b.leading() ** max(a.degree - b.degree + 1, 0)) % b
+        a, b = b, primitive(r)
+    return a.monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -229,7 +255,7 @@ class RatFunc:
             num, den = P_ZERO, P_ONE
         elif den.degree == 0:
             if den.coeffs[0] != 1:
-                num = num.scale(1 / den.coeffs[0])
+                num = num.scale(Fraction(1) / den.coeffs[0])
             den = P_ONE
         else:
             g = poly_gcd(num, den)
@@ -237,7 +263,7 @@ class RatFunc:
                 num, den = num // g, den // g
             lead = den.leading()
             if lead != 1:
-                inv = 1 / lead
+                inv = Fraction(1) / lead
                 num = num.scale(inv)
                 den = den.scale(inv)
         object.__setattr__(self, "num", num)

@@ -13,7 +13,6 @@ import pytest
 from asepx.algebra_checks import (
     check_ms_theorem,
     run_check,
-    verify_stationary,
 )
 from asepx.asep_core import (
     Multiplicity,

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 from fractions import Fraction
 from math import gcd
 

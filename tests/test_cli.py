@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from asepx.cli import run
+from asepx.asep_core import Multiplicity
+from asepx.cli import _emit, _emit_streamed, run
+from asepx.mlq import iter_mlqs
 
 
 def _capture(capsys, argv):
@@ -159,6 +162,44 @@ class TestDumpCommands:
         for arrow in rec["arrows"]:
             src, tgt, row = arrow
             assert 0 <= src < 3 and 0 <= tgt < 3 and row >= 2
+
+
+class TestStreamedOutput:
+    """dump-mlq writes its records one by one; the bytes are those of one json.dumps."""
+
+    @staticmethod
+    def _payload(mult, q):
+        queues = [
+            {
+                "rows": ["".join(str(b) for b in row) for row in rec.rows],
+                "arrows": [list(a) for a in rec.arrows],
+                "weight": rec.weight.to_json(),
+                "config": "".join(str(s) for s in rec.config),
+            }
+            for rec in iter_mlqs(Multiplicity(mult), q)
+        ]
+        return {"schema": "asepx/1", "q": str(q), "mlqs": queues}
+
+    @pytest.mark.parametrize("mult", [(1, 2, 1), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(2, 5)])
+    def test_dump_mlq_matches_whole_payload(self, capsys, mult, q):
+        payload = self._payload(mult, q)
+        argv = ["dump-mlq", "--mult", ",".join(map(str, mult)), "--q", str(q)]
+        code, out = _capture(capsys, argv)
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        code, out = _capture(capsys, argv + ["--format", "text"])
+        assert code == 0
+        assert out == "".join(f"{k}: {v}\n" for k, v in payload.items())
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("items", [[], [{"b": [1, 2], "a": "x"}], [{"a": 1}, {"a": []}]])
+    def test_streamed_equals_emitted(self, capsys, fmt, items):
+        head = {"schema": "asepx/1", "q": "1"}
+        _emit({**head, "mlqs": items}, fmt)
+        whole = capsys.readouterr().out
+        _emit_streamed(head, "mlqs", iter(items), fmt)
+        assert capsys.readouterr().out == whole
 
 
 class TestUsageErrors:

@@ -10,7 +10,6 @@ from asepx.oscillator import (
     DivergentTraceError,
     FockTruncation,
     K,
-    NormalForm,
     UnbalancedWordError,
     apply_word_to_level,
     normal_order,
@@ -21,7 +20,7 @@ from asepx.oscillator import (
     word_imbalance,
     word_to_str,
 )
-from asepx.scalar import Poly, RatFunc, random_point
+from asepx.scalar import Poly, RatFunc
 
 from conftest import one_minus_t_pow, poly, rf
 

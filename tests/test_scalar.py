@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from asepx.scalar import (
+    P_ONE,
     PoleError,
     Poly,
     RatFunc,
@@ -199,3 +200,75 @@ class TestScalarProperties:
         f, g = RatFunc(a, d), RatFunc(b * c, d * d)
         assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
         assert (f * g).eval(t0) == f.eval(t0) * g.eval(t0)
+
+
+def _euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Reference gcd: the monic Euclidean algorithm over the rationals."""
+    a, b = a.monic() if a else a, b.monic() if b else b
+    while b:
+        a, b = b, (a % b)
+        if b:
+            b = b.monic()
+    return a
+
+
+def _exact(p: Poly) -> bool:
+    """Every coefficient an int, or a Fraction that is not integral; never a float."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.coeffs)
+
+
+def _integral(p: Poly) -> bool:
+    return all(type(c) is int for c in p.coeffs)
+
+
+_int_polys = st.lists(st.integers(-9, 9), max_size=7).map(Poly)
+_nonzero_int_polys = _int_polys.filter(bool)
+
+
+class TestIntFirstCoefficients:
+    """Coefficients are ints where integral, and the gcd matches the Euclidean oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_polys, _polys, _nonzero_polys)
+    def test_gcd_matches_euclidean_oracle(self, a, b, c):
+        for x, y in ((a, b), (a * c, b * c), (c, a * c)):
+            g = poly_gcd(x, y)
+            assert g == _euclid_gcd(x, y)
+            assert _exact(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_int_polys, _int_polys, _nonzero_int_polys)
+    def test_integer_gcd_matches_euclidean_oracle(self, a, b, c):
+        assert poly_gcd(a * c, b * c) == _euclid_gcd(a * c, b * c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys, _nonzero_polys, _coeffs, st.integers(0, 4))
+    def test_no_float_coefficient(self, a, b, s, k):
+        q, r = a.divmod(b)
+        results = [a + b, a - b, a * b, q, r, a.scale(s), a.shift(k), b.monic(),
+                   RatFunc(a, b).num, RatFunc(a, b).den]
+        assert all(_exact(p) for p in results)
+        assert b.monic().leading() == 1 and b.monic().scale(b.leading()) == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(_int_polys, _nonzero_int_polys, st.integers(-9, 9), st.integers(0, 4))
+    def test_integer_inputs_stay_int(self, a, b, s, k):
+        assert _integral(a) and _integral(b)
+        q, r = (a * b).divmod(b)
+        assert q == a and not r
+        results = [a + b, a - b, a * b, a.scale(s), a.shift(k), q, Poly.t_power(k, s)]
+        assert all(_integral(p) for p in results)
+        # division by a monic integer divisor is exact at every step
+        q, r = a.divmod(b.shift(1) + Poly.t_power(b.degree + 2))
+        assert _integral(q) and _integral(r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_int_polys, st.integers(-5, 5))
+    def test_eval_at_an_int_is_a_fraction(self, a, t0):
+        assert type(a.eval(t0)) is Fraction
+        assert type(RatFunc(a, P_ONE).eval(t0)) is Fraction
+
+    def test_ratfunc_eval_at_one(self):
+        value = RatFunc(P_ONE, Poly((1, 1))).eval(1)
+        assert value == Fraction(1, 2) and type(value) is Fraction
