@@ -12,7 +12,6 @@ from .asep_core import (
     basic_multiplicities,
     cyclic_shift,
     gillespie,
-    local_markov,
     markov_sector,
     stationary_kernel,
 )
@@ -24,7 +23,6 @@ from .mlq import (
     bigM_apply,
     enumerate_pairings,
     m_element,
-    mlq_enumerate_direct,
     mlq_state,
     pairing_weight,
     project_pi,

@@ -5,8 +5,11 @@ Checks are exact: scalar identities are verified symbolically in t at
 exact rational spectral points; operator identities are verified as
 truncated-Fock matrix identities on the safe window at exact rational
 points, organized through the tensor factorization of the terms so the
-product state space is never enumerated.  Every report records the
-degree bounds that make the randomized checks sound.
+product state space is never enumerated.  The window identities (rtt,
+zf, hat) share one harness, `_window_report`: each check only builds the
+term sums of its cases with `_products`, and the harness runs the zero
+test, scans a failing case for a witness and writes the report.  Every
+report records the degree bounds that make the randomized checks sound.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import product
+from typing import Iterable, Optional, Sequence
 
 from .asep_core import (
     Multiplicity,
@@ -134,13 +138,7 @@ def check_ybe(n: int, x0: Fraction, y0: Fraction) -> CheckReport:
         return out
 
     witnesses = []
-    states = [
-        (i, j, k)
-        for i in range(n + 1)
-        for j in range(n + 1)
-        for k in range(n + 1)
-    ]
-    for state in states:
+    for state in product(range(n + 1), repeat=3):
         start = {state: RF_ONE}
         lhs = rcheck_apply(0, x0 * y0, rcheck_apply(1, x0, start))
         lhs = rcheck_apply(1, y0, lhs)
@@ -162,25 +160,22 @@ def check_quasi_periodicity(n: int, z0: Fraction) -> CheckReport:
     """Index-shift covariance of R, all (n+1)^4 components, exact in t."""
     t_pow = RatFunc(Poly((0, 1)))
     witnesses = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for i2 in range(n + 1):
-                for j2 in range(n + 1):
-                    lhs = r_element(z0, a, b, i2, j2)
-                    zexp = (1 if j2 == 0 else 0) - (1 if b == 0 else 0)
-                    texp = (1 if (a == 0 and b != 0) else 0) - (
-                        1 if (i2 != 0 and j2 == 0) else 0
-                    )
-                    rhs = r_element(
-                        z0, (a - 1) % (n + 1), (b - 1) % (n + 1),
-                        (i2 - 1) % (n + 1), (j2 - 1) % (n + 1),
-                    ).scale(z0**zexp)
-                    if texp == 1:
-                        rhs = rhs * t_pow
-                    elif texp == -1:
-                        rhs = rhs / t_pow
-                    if lhs != rhs:
-                        witnesses.append({"abij": (a, b, i2, j2)})
+    for a, b, i2, j2 in product(range(n + 1), repeat=4):
+        lhs = r_element(z0, a, b, i2, j2)
+        zexp = (1 if j2 == 0 else 0) - (1 if b == 0 else 0)
+        texp = (1 if (a == 0 and b != 0) else 0) - (
+            1 if (i2 != 0 and j2 == 0) else 0
+        )
+        rhs = r_element(
+            z0, (a - 1) % (n + 1), (b - 1) % (n + 1),
+            (i2 - 1) % (n + 1), (j2 - 1) % (n + 1),
+        ).scale(z0**zexp)
+        if texp == 1:
+            rhs = rhs * t_pow
+        elif texp == -1:
+            rhs = rhs / t_pow
+        if lhs != rhs:
+            witnesses.append({"abij": (a, b, i2, j2)})
     return CheckReport(
         name="quasi-periodicity",
         passed=not witnesses,
@@ -249,56 +244,35 @@ def check_rll(
     z = x0 / y0
     if 1 - t0 * z == 0:
         raise ZeroDivisionError("pole t x/y = 1")
-    lx = {
-        (al, be): _l_component_map(x0, t0, n, l, al, be)
-        for al in range(n + 1)
-        for be in range(n + 1)
-    }
-    ly = {
-        (al, be): _l_component_map(y0, t0, n, l, al, be)
-        for al in range(n + 1)
-        for be in range(n + 1)
+    lmap = {
+        (zv, al, be): _l_component_map(zv, t0, n, l, al, be)
+        for zv in (x0, y0)
+        for al, be in product(range(n + 1), repeat=2)
     }
     basis = compositions(l, n + 1)
     witnesses = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    for start in basis:
-                        acc: dict[tuple[int, ...], Fraction] = {}
-                        for (a2, b2) in r_output_pairs(i, j):
-                            rv = r_value(z, t0, a2, b2, i, j)
-                            if not rv:
-                                continue
-                            # L(x)^a_{a'} applied first, then L(y)^b_{b'}
-                            hit = lx[(a2, a)].get(start)
-                            if hit is None:
-                                continue
-                            mid, c1 = hit
-                            hit2 = ly[(b2, b)].get(mid)
-                            if hit2 is None:
-                                continue
-                            endc, c2 = hit2
-                            acc[endc] = acc.get(endc, Fraction(0)) + rv * c1 * c2
-                        for (i2, j2) in r_output_pairs(a, b):
-                            rv = r_value(z, t0, a, b, i2, j2)
-                            if not rv:
-                                continue
-                            hit = ly[(j, j2)].get(start)
-                            if hit is None:
-                                continue
-                            mid, c1 = hit
-                            hit2 = lx[(i, i2)].get(mid)
-                            if hit2 is None:
-                                continue
-                            endc, c2 = hit2
-                            acc[endc] = acc.get(endc, Fraction(0)) - rv * c1 * c2
-                        bad = {k: v for k, v in acc.items() if v}
-                        if bad:
-                            witnesses.append(
-                                {"abij": (a, b, i, j), "state": start, "diff": bad}
-                            )
+    for a, b, i, j in product(range(n + 1), repeat=4):
+        # (R-coefficient, L applied first, L applied second): L(x)^a_{a'}
+        # then L(y)^b_{b'} on the left, L(y) then L(x) on the right
+        sides = [
+            (r_value(z, t0, a2, b2, i, j), lmap[(x0, a2, a)], lmap[(y0, b2, b)])
+            for a2, b2 in r_output_pairs(i, j)
+        ] + [
+            (-r_value(z, t0, a, b, i2, j2), lmap[(y0, j, j2)], lmap[(x0, i, i2)])
+            for i2, j2 in r_output_pairs(a, b)
+        ]
+        for start in basis:
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for rv, first, second in sides:
+                # a level map holds only nonzero coefficients, so c2 = 0
+                # means that first or second annihilates the state
+                mid, c1 = first.get(start, (None, 0))
+                end, c2 = second.get(mid, (None, 0))
+                if rv and c2:
+                    acc[end] = acc.get(end, Fraction(0)) + rv * c1 * c2
+            bad = {k: v for k, v in acc.items() if v}
+            if bad:
+                witnesses.append({"abij": (a, b, i, j), "state": start, "diff": bad})
     return CheckReport(
         name="rll",
         passed=not witnesses,
@@ -398,34 +372,15 @@ def check_L0_oscillator(n: int, l: int, t0: Fraction) -> CheckReport:
     """
     call = build_calL(n)
     witnesses = []
-    for al in range(n + 1):
-        for be in range(n + 1):
-            comp_map = _l_component_map(Fraction(0), t0, n, l, al, be)
-            words = call[(al, be)]
-            for a in compositions(l, n + 1):
-                hit = comp_map.get(a)
-                if words is None:
-                    if hit is not None:
-                        witnesses.append({"entry": (al, be), "state": a})
-                    continue
-                levels = list(a[1:])
-                coeff = Fraction(1)
-                ok = True
-                for mode, word in words:
-                    d2, c = apply_word_to_level(word, levels[mode - 1], t0=t0)
-                    if not c:
-                        ok = False
-                        break
-                    coeff *= c
-                    levels[mode - 1] = d2
-                osc = (tuple(levels), coeff) if ok else None
-                if hit is None:
-                    expected = None
-                else:
-                    tgt, c = hit
-                    expected = (tuple(tgt[1:]), c)
-                if osc != expected:
-                    witnesses.append({"entry": (al, be), "state": a})
+    for al, be in product(range(n + 1), repeat=2):
+        comp_map = _l_component_map(Fraction(0), t0, n, l, al, be)
+        words = call[(al, be)]
+        for a in compositions(l, n + 1):
+            hit = comp_map.get(a)
+            expected = None if hit is None else (hit[0][1:], hit[1])
+            osc = None if words is None else _apply_modewords(words, a[1:], t0)
+            if osc != expected:
+                witnesses.append({"entry": (al, be), "state": a})
     return CheckReport(
         name="lt-link-l0",
         passed=not witnesses,
@@ -440,163 +395,151 @@ def check_L0_oscillator(n: int, l: int, t0: Fraction) -> CheckReport:
 # truncated-window operator identities
 
 
-def _t_eval_term(
-    tmat, i: int, j: int, zval: Fraction
-) -> Optional[EvalTerm]:
-    entry = tmat.entry(i, j)
-    if entry is None:
-        return None
-    return (zval**entry.zdeg, entry.words)
-
-
 def _term_product(a: EvalTerm, b: EvalTerm) -> EvalTerm:
     return (a[0] * b[0], multimode_words_mul(a[1], b[1]))
 
 
+def _products(
+    scale: Fraction, left: Sequence[EvalTerm], right: Sequence[EvalTerm]
+) -> list[EvalTerm]:
+    """The expanded terms of scale * (sum of left) * (sum of right)."""
+    out = []
+    for t1 in left:
+        for t2 in right:
+            c, w = _term_product(t1, t2)
+            out.append((scale * c, w))
+    return out
+
+
+def _apply_modewords(
+    modewords: ModeWords,
+    levels: Sequence[int],
+    t0: Fraction,
+    window: Optional[int] = None,
+) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    """Act with a multi-mode word on the Fock levels (m_1, m_2, ...).
+
+    Returns the image levels and the coefficient, or None when the word
+    annihilates the state or, with a window given, leaves it.
+    """
+    out = list(levels)
+    coeff = Fraction(1)
+    for mode, word in modewords:
+        d2, c = apply_word_to_level(word, out[mode - 1], t0=t0)
+        if not c or (window is not None and d2 > window):
+            return None
+        coeff *= c
+        out[mode - 1] = d2
+    return tuple(out), coeff
+
+
 def _direct_witness(terms: Sequence[EvalTerm], nmodes: int, window: int, t0):
     """Slow fallback: scan window states for a nonzero matrix element."""
-    states = [()]
-    for _ in range(nmodes):
-        states = [s + (d,) for s in states for d in range(window + 1)]
-    for state in states:
+    for state in product(range(window + 1), repeat=nmodes):
         acc: dict[tuple[int, ...], Fraction] = {}
         for coeff, modewords in terms:
-            wd = dict(modewords)
-            out_state = []
-            c = coeff
-            dead = False
-            for mode in range(1, nmodes + 1):
-                d2, cf = apply_word_to_level(wd.get(mode, ()), state[mode - 1], t0=t0)
-                if not cf or d2 > window:
-                    dead = True
-                    break
-                c *= cf
-                out_state.append(d2)
-            if dead:
-                continue
-            key = tuple(out_state)
-            acc[key] = acc.get(key, Fraction(0)) + c
+            hit = _apply_modewords(modewords, state, t0, window)
+            if hit is not None:
+                key, c = hit
+                acc[key] = acc.get(key, Fraction(0)) + coeff * c
         for key, v in acc.items():
             if v:
                 return {"in": state, "out": key, "value": v}
     return None
 
 
-def check_rtt(
-    n: int,
-    x0: Fraction,
-    y0: Fraction,
+def _window_report(
+    name: str,
+    label: str,
+    cases: Iterable[tuple[tuple[int, ...], list[EvalTerm]]],
+    nmodes: int,
     trunc: FockTruncation,
     t0: Fraction,
+    params: dict,
+    t_extra: int,
+    bounds: dict,
+) -> CheckReport:
+    """Zero-test the term sum of every (index, terms) case on the safe window.
+
+    A case whose sum is not zero becomes a witness {label: index,
+    "element": the first nonzero matrix element of the direct scan}.  The
+    t-degree bound counts the window levels of every mode plus `t_extra`
+    for the coefficients; `bounds` holds the bounds in the other variables.
+    """
+    window = trunc.safe_window(2)
+    witnesses = [
+        {label: index, "element": _direct_witness(terms, nmodes, window, t0)}
+        for index, terms in cases
+        if not multimode_sum_is_zero(terms, nmodes, window, t0)
+    ]
+    return CheckReport(
+        name=name,
+        passed=not witnesses,
+        params={**params, "t": t0, "fock_dim": trunc.dim},
+        witnesses=witnesses[:5],
+        degree_bound={"t": 2 * max(nmodes, 1) * (window + 2) + t_extra, **bounds},
+        notes="window comparison via exact tensor-factorized reduction",
+    )
+
+
+def check_rtt(
+    n: int, x0: Fraction, y0: Fraction, trunc: FockTruncation, t0: Fraction
 ) -> CheckReport:
     """Rank-reducing RTT = TTR for the column operators, on the safe window."""
     z = y0 / x0
     if 1 - t0 * z == 0:
         raise ZeroDivisionError("pole t y/x = 1")
     tmat = build_T(n)
-    nmodes = n - 1
-    window = trunc.safe_window(2)
-    witnesses = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for i in range(n):
-                for j in range(n):
-                    terms: list[EvalTerm] = []
-                    for (a2, b2) in r_output_pairs(i, j):
-                        if a2 > n - 1 or b2 > n - 1:
-                            continue
-                        rv = r_value(z, t0, a2, b2, i, j)
-                        if not rv:
-                            continue
-                        ty = _t_eval_term(tmat, b2, b, y0)
-                        tx = _t_eval_term(tmat, a2, a, x0)
-                        if ty is None or tx is None:
-                            continue
-                        c, w = _term_product(ty, tx)
-                        terms.append((rv * c, w))
-                    for (i2, j2) in r_output_pairs(a, b):
-                        rv = r_value(z, t0, a, b, i2, j2)
-                        if not rv:
-                            continue
-                        tx = _t_eval_term(tmat, i, i2, x0)
-                        ty = _t_eval_term(tmat, j, j2, y0)
-                        if tx is None or ty is None:
-                            continue
-                        c, w = _term_product(tx, ty)
-                        terms.append((-rv * c, w))
-                    if not multimode_sum_is_zero(terms, nmodes, window, t0):
-                        witnesses.append(
-                            {
-                                "abij": (a, b, i, j),
-                                "element": _direct_witness(terms, nmodes, window, t0),
-                            }
-                        )
-    return CheckReport(
-        name="rtt",
-        passed=not witnesses,
-        params={"n": n, "x": x0, "y": y0, "t": t0, "fock_dim": trunc.dim},
-        witnesses=witnesses[:5],
-        degree_bound={
-            "t": 2 * max(n - 1, 1) * (trunc.safe_window(2) + 2) + 6,
-            "x": 4,
-            "y": 4,
-        },
-        notes="window comparison via exact tensor-factorized reduction",
+
+    def tev(i: int, j: int, zval: Fraction) -> list[EvalTerm]:
+        entry = tmat.entry(i, j)
+        return [] if entry is None else [(zval**entry.zdeg, entry.words)]
+
+    def cases():
+        for a, b, i, j in product(range(n + 1), range(n + 1), range(n), range(n)):
+            terms: list[EvalTerm] = []
+            for (a2, b2) in r_output_pairs(i, j):
+                rv = r_value(z, t0, a2, b2, i, j)
+                if rv:
+                    terms += _products(rv, tev(b2, b, y0), tev(a2, a, x0))
+            for (i2, j2) in r_output_pairs(a, b):
+                rv = r_value(z, t0, a, b, i2, j2)
+                if rv:
+                    terms += _products(-rv, tev(i, i2, x0), tev(j, j2, y0))
+            yield (a, b, i, j), terms
+
+    return _window_report(
+        "rtt", "abij", cases(), n - 1, trunc, t0,
+        {"n": n, "x": x0, "y": y0}, 6, {"x": 4, "y": 4},
     )
 
 
 def check_zf(
-    n: int,
-    x0: Fraction,
-    y0: Fraction,
-    trunc: FockTruncation,
-    t0: Fraction,
+    n: int, x0: Fraction, y0: Fraction, trunc: FockTruncation, t0: Fraction
 ) -> CheckReport:
     """Exchange algebra of the layer operators on the safe window."""
     z = y0 / x0
     if 1 - t0 * z == 0:
         raise ZeroDivisionError("pole t y/x = 1")
-    nmodes = n * (n - 1) // 2
-    window = trunc.safe_window(2)
     ops = [build_X(n, alpha) for alpha in range(n + 1)]
     ex = {
         (alpha, zv): _x_eval_terms(ops[alpha], zv, t0)
         for alpha in range(n + 1)
         for zv in (x0, y0)
     }
-    witnesses = []
-    for alpha in range(n + 1):
-        for beta in range(n + 1):
-            terms: list[EvalTerm] = []
-            for t1 in ex[(alpha, y0)]:
-                for t2 in ex[(beta, x0)]:
-                    terms.append(_term_product(t1, t2))
+
+    def cases():
+        for alpha, beta in product(range(n + 1), repeat=2):
+            terms = _products(1, ex[(alpha, y0)], ex[(beta, x0)])
             for (g, d) in r_output_pairs(beta, alpha):
                 rv = r_value(z, t0, beta, alpha, g, d)
-                if not rv:
-                    continue
-                for t1 in ex[(g, x0)]:
-                    for t2 in ex[(d, y0)]:
-                        c, w = _term_product(t1, t2)
-                        terms.append((-rv * c, w))
-            if not multimode_sum_is_zero(terms, nmodes, window, t0):
-                witnesses.append(
-                    {
-                        "alphabeta": (alpha, beta),
-                        "element": _direct_witness(terms, nmodes, window, t0),
-                    }
-                )
-    return CheckReport(
-        name="zf",
-        passed=not witnesses,
-        params={"n": n, "x": x0, "y": y0, "t": t0, "fock_dim": trunc.dim},
-        witnesses=witnesses[:5],
-        degree_bound={
-            "t": 2 * max(n * (n - 1) // 2, 1) * (trunc.safe_window(2) + 2) + 4,
-            "x": 2 * n + 2,
-            "y": 2 * n + 2,
-        },
-        notes="window comparison via exact tensor-factorized reduction",
+                if rv:
+                    terms += _products(-rv, ex[(g, x0)], ex[(d, y0)])
+            yield (alpha, beta), terms
+
+    return _window_report(
+        "zf", "alphabeta", cases(), n * (n - 1) // 2, trunc, t0,
+        {"n": n, "x": x0, "y": y0}, 4, {"x": 2 * n + 2, "y": 2 * n + 2},
     )
 
 
@@ -621,49 +564,21 @@ def check_hat(n: int, trunc: FockTruncation, t0: Fraction) -> CheckReport:
     t^[a>b] X_b X_a - t^[a<b] X_a X_b = X_a Xhat_b - Xhat_a X_b on the
     safe window, with every operator taken at z = 1.
     """
-    nmodes = n * (n - 1) // 2
-    window = trunc.safe_window(2)
     one = Fraction(1)
     xev = [_x_eval_terms(build_X(n, alpha), one, t0) for alpha in range(n + 1)]
     hev = [_x_eval_terms(h, one, t0) for h in hat_operators(n)]
-    witnesses = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            terms: list[EvalTerm] = []
-            ta = t0 if a > b else Fraction(1)
-            tb = t0 if a < b else Fraction(1)
-            for t1 in xev[b]:
-                for t2 in xev[a]:
-                    c, w = _term_product(t1, t2)
-                    terms.append((ta * c, w))
-            for t1 in xev[a]:
-                for t2 in xev[b]:
-                    c, w = _term_product(t1, t2)
-                    terms.append((-tb * c, w))
-            for t1 in xev[a]:
-                for t2 in hev[b]:
-                    c, w = _term_product(t1, t2)
-                    terms.append((-c, w))
-            for t1 in hev[a]:
-                for t2 in xev[b]:
-                    c, w = _term_product(t1, t2)
-                    terms.append((c, w))
-            if not multimode_sum_is_zero(terms, nmodes, window, t0):
-                witnesses.append(
-                    {
-                        "alphabeta": (a, b),
-                        "element": _direct_witness(terms, nmodes, window, t0),
-                    }
-                )
-    return CheckReport(
-        name="hat",
-        passed=not witnesses,
-        params={"n": n, "t": t0, "fock_dim": trunc.dim},
-        witnesses=witnesses[:5],
-        degree_bound={
-            "t": 2 * max(n * (n - 1) // 2, 1) * (trunc.safe_window(2) + 2) + 4
-        },
-        notes="window comparison via exact tensor-factorized reduction",
+    cases = (
+        (
+            (a, b),
+            _products(t0 if a > b else 1, xev[b], xev[a])
+            + _products(-t0 if a < b else -1, xev[a], xev[b])
+            + _products(-1, xev[a], hev[b])
+            + _products(1, hev[a], xev[b]),
+        )
+        for a, b in product(range(n + 1), repeat=2)
+    )
+    return _window_report(
+        "hat", "alphabeta", cases, n * (n - 1) // 2, trunc, t0, {"n": n}, 4, {}
     )
 
 

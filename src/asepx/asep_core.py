@@ -113,28 +113,6 @@ def cyclic_orbit_reps(configs: Iterable[Config]) -> dict[Config, Config]:
     return rep_of
 
 
-def local_markov(n: int) -> list[list[Poly]]:
-    """Dense two-site generator on the basis |a,b> ordered lexicographically.
-
-    Column |a,b| sends the pair to |b,a| at rate t^[a<b]; column sums
-    vanish (probability conservation).
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    size = (n + 1) ** 2
-    mat = [[P_ZERO] * size for _ in range(size)]
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if a == b:
-                continue
-            col = a * (n + 1) + b
-            row = b * (n + 1) + a
-            rate = Poly((0, 1)) if a < b else P_ONE
-            mat[row][col] = mat[row][col] + rate
-            mat[col][col] = mat[col][col] - rate
-    return mat
-
-
 def markov_sector(
     m: Multiplicity, basis: Optional[SectorBasis] = None
 ) -> dict[tuple[int, int], Poly]:
@@ -274,8 +252,8 @@ def canonicalize_values(
     the canonical form ignores; a missing configuration counts as zero.
     Scales the vector so that every entry is a polynomial in t with
     integer coefficients, the collective coefficient gcd is 1, and the
-    entry at the lexicographically smallest configuration has positive
-    leading coefficient.  Equal coefficients of the returned vector are
+    first nonzero entry, in lexicographic order of the configurations,
+    has positive leading coefficient.  Equal coefficients of the returned vector are
     one object, so a vector that callers keep holds each distinct
     coefficient once.
     """

@@ -420,15 +420,3 @@ def iter_mlqs(
 
         free = (None,) + stack[::-1]  # free[r] is row r, stack[n - r]
         yield from climb(m.n, m.n, free[m.n], free, (0,) * m.L, (), RF_ONE)
-
-
-def mlq_enumerate_direct(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:
-    """Stationary-state sum by explicit enumeration of all multiline queues.
-
-    Independent of the operator pipeline; intended for small sectors.
-    """
-    values: dict[Config, RatFunc] = {}
-    for rec in iter_mlqs(m, q):
-        cur = values.get(rec.config)
-        values[rec.config] = rec.weight if cur is None else cur + rec.weight
-    return SectorVector.over_lcm(SectorBasis(m), values)

@@ -296,15 +296,6 @@ def multimode_word_to_str(
     return "|".join(word_to_str(wd.get(mode, ())) for mode in range(1, nmodes + 1))
 
 
-def multimode_word_from_str(s: str) -> tuple[tuple[int, OscWord], ...]:
-    parts = s.split("|")
-    return tuple(
-        (mode, word_from_str(part))
-        for mode, part in enumerate(parts, start=1)
-        if part
-    )
-
-
 def multimode_words_mul(
     a: Iterable[tuple[int, OscWord]], b: Iterable[tuple[int, OscWord]]
 ) -> tuple[tuple[int, OscWord], ...]:

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from asepx.scalar import Poly, RatFunc
+from asepx.asep_core import Multiplicity, SectorBasis
+from asepx.mlq import SectorVector, iter_mlqs
+from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc
 
 
 def poly(*coeffs) -> Poly:
@@ -23,6 +25,40 @@ def rf(num, den=None) -> RatFunc:
     if not isinstance(den, Poly):
         den = poly(den)
     return RatFunc(num, den)
+
+
+def local_markov(n: int) -> list[list[Poly]]:
+    """Dense two-site generator on the basis |a,b> ordered lexicographically.
+
+    Column |a,b| sends the pair to |b,a| at rate t^[a<b]; column sums
+    vanish (probability conservation).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    size = (n + 1) ** 2
+    mat = [[P_ZERO] * size for _ in range(size)]
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if a == b:
+                continue
+            col = a * (n + 1) + b
+            row = b * (n + 1) + a
+            rate = Poly((0, 1)) if a < b else P_ONE
+            mat[row][col] = mat[row][col] + rate
+            mat[col][col] = mat[col][col] - rate
+    return mat
+
+
+def mlq_enumerate_direct(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:
+    """Stationary-state sum by explicit enumeration of all multiline queues.
+
+    Independent of the operator pipeline; intended for small sectors.
+    """
+    values: dict[tuple[int, ...], RatFunc] = {}
+    for rec in iter_mlqs(m, q):
+        cur = values.get(rec.config)
+        values[rec.config] = rec.weight if cur is None else cur + rec.weight
+    return SectorVector.over_lcm(SectorBasis(m), values)
 
 
 @pytest.fixture

@@ -21,16 +21,15 @@ from asepx.asep_core import (
     canonicalize_values,
     cyclic_shift,
     gillespie,
-    local_markov,
     markov_sector,
     stationary_kernel,
 )
 from asepx.ctm import build_T, build_X, check_recursion, mp_stationary
-from asepx.mlq import BallSystem, iter_mlqs, m_element, mlq_enumerate_direct, mlq_state
+from asepx.mlq import BallSystem, iter_mlqs, m_element, mlq_state
 from asepx.oscillator import FockTruncation, s_element
 from asepx.scalar import P_ZERO, Poly, RatFunc, random_point
 
-from conftest import one_minus_t_pow, poly, rf
+from conftest import local_markov, mlq_enumerate_direct, one_minus_t_pow, poly, rf
 from test_asep_core import _PRINTED_MATRIX, _PRINTED_ORDER, _SYMBOLS
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -5,7 +7,7 @@ from itertools import product
 import pytest
 
 from asepx.algebra_checks import (
-    _term_product,
+    _products,
     build_calL,
     check_L0_oscillator,
     check_LtT,
@@ -30,6 +32,34 @@ from asepx.oscillator import FockTruncation, multimode_sum_is_zero
 from asepx.scalar import Poly, RatFunc, random_point
 
 from conftest import poly, rf
+
+
+def _doubled_r(exact):
+    return lambda *args: exact(*args).scale(2)
+
+
+def _swap_doubled_r(exact):
+    # a uniformly doubled R cancels from both sides of RTT = TTR, so only
+    # the swap entries (a, b) = (j, i), i != j, are doubled
+    def swap_doubled(z, a, b, i, j):
+        v = exact(z, a, b, i, j)
+        return v.scale(2) if (a, b) == (j, i) and i != j else v
+
+    return swap_doubled
+
+
+def _doubled_hat_term(alpha, k):
+    def wrap(exact):
+        def doubled(n):
+            ops = exact(n)
+            terms = list(ops[alpha].terms)
+            terms[k] = replace(terms[k], coeff=terms[k].coeff.scale(2))
+            ops[alpha] = replace(ops[alpha], terms=tuple(terms))
+            return ops
+
+        return doubled
+
+    return wrap
 
 
 class TestRMatrix:
@@ -240,21 +270,16 @@ class TestZF:
         x0, y0, t0 = Fraction(3, 4), Fraction(2, 7), Fraction(1, 6)
         trunc = FockTruncation(8)
         window = trunc.safe_window(2)
+        def ev(alpha, zv):
+            return _x_eval_terms(build_X(n, alpha), zv, t0)
+
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
-                terms = []
-                for t1 in _x_eval_terms(build_X(n, a), y0, t0):
-                    for t2 in _x_eval_terms(build_X(n, b), x0, t0):
-                        c, w = _term_product(t1, t2)
-                        terms.append(((x0 - t0 * y0) * c, w))
-                for t1 in _x_eval_terms(build_X(n, a), x0, t0):
-                    for t2 in _x_eval_terms(build_X(n, b), y0, t0):
-                        c, w = _term_product(t1, t2)
-                        terms.append((-(1 - t0) * x0 * c, w))
-                for t1 in _x_eval_terms(build_X(n, b), x0, t0):
-                    for t2 in _x_eval_terms(build_X(n, a), y0, t0):
-                        c, w = _term_product(t1, t2)
-                        terms.append((-(x0 - y0) * c, w))
+                terms = (
+                    _products(x0 - t0 * y0, ev(a, y0), ev(b, x0))
+                    + _products(-(1 - t0) * x0, ev(a, x0), ev(b, y0))
+                    + _products(-(x0 - y0), ev(b, x0), ev(a, y0))
+                )
                 assert multimode_sum_is_zero(terms, n * (n - 1) // 2, window, t0)
 
 
@@ -310,6 +335,18 @@ class TestFailureWitnesses:
         assert not multimode_sum_is_zero(terms, 1, 5, t0)
         witness = _direct_witness(terms, 1, 5, t0)
         assert witness is not None and witness["value"] != 0
+
+    def test_witness_stays_inside_the_window(self):
+        from asepx.algebra_checks import _direct_witness
+
+        # (a+)^2 takes every level of the window {0, 1} out of it, so only
+        # k has a matrix element there
+        terms = [
+            (Fraction(1), ((1, ("+", "+")),)),
+            (Fraction(1), ((1, ("k",)),)),
+        ]
+        witness = _direct_witness(terms, 1, 1, Fraction(1, 3))
+        assert witness == {"in": (0,), "out": (0,), "value": 1}
 
     def test_zero_sum_accepted(self):
         # a+ a- equals 1 - k exactly
@@ -374,26 +411,15 @@ class TestRunCheck:
         import asepx.algebra_checks as checks
 
         assert run_check("zf", n=2, fock_dim=10, trials=2).passed
-        exact = checks.r_element
-        monkeypatch.setattr(
-            checks, "r_element", lambda *args: exact(*args).scale(2)
-        )
+        monkeypatch.setattr(checks, "r_element", _doubled_r(checks.r_element))
         assert not run_check("zf", n=2, fock_dim=10, trials=2).passed
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_swap_doubled_r_matrix_fails_rtt(self, monkeypatch, n):
-        # a uniformly doubled R cancels from both sides of RTT = TTR, so
-        # only the swap entries (a, b) = (j, i), i != j, are doubled
         import asepx.algebra_checks as checks
 
         assert run_check("rtt", n=n, fock_dim=10, trials=2).passed
-        exact = checks.r_element
-
-        def swap_doubled(z, a, b, i, j):
-            v = exact(z, a, b, i, j)
-            return v.scale(2) if (a, b) == (j, i) and i != j else v
-
-        monkeypatch.setattr(checks, "r_element", swap_doubled)
+        monkeypatch.setattr(checks, "r_element", _swap_doubled_r(checks.r_element))
         assert not run_check("rtt", n=n, fock_dim=10, trials=2).passed
 
     def test_doubled_hat_term_fails_hat(self, monkeypatch):
@@ -404,15 +430,7 @@ class TestRunCheck:
         cases = [(a, k) for a, h in enumerate(exact(2)) for k in range(len(h.terms))]
         assert (1, 0) in cases
         for alpha, k in cases:
-
-            def doubled(n, alpha=alpha, k=k):
-                ops = exact(n)
-                terms = list(ops[alpha].terms)
-                terms[k] = replace(terms[k], coeff=terms[k].coeff.scale(2))
-                ops[alpha] = replace(ops[alpha], terms=tuple(terms))
-                return ops
-
-            monkeypatch.setattr(checks, "hat_operators", doubled)
+            monkeypatch.setattr(checks, "hat_operators", _doubled_hat_term(alpha, k)(exact))
             assert not run_check("hat", n=2, fock_dim=10, trials=2).passed, (alpha, k)
 
     def test_report_json_shape(self):
@@ -420,3 +438,69 @@ class TestRunCheck:
         data = report.to_json()
         assert data["check"] == "qp" and data["passed"] is True
         assert "degree_bound" in data and data["trials"] == 2
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded before
+# rtt, zf and hat shared one window harness; the mutated runs fail, so
+# their digests pin the witnesses a failing report carries
+GOLDEN_REPORTS = {
+    "rtt": (
+        None,
+        {"kind": "rtt", "n": 2, "trials": 2},
+        "e4ec0b3c0d594bf438a5efd4c340f81b61e1a298650a31162c09662aa02dcf7d",
+    ),
+    "zf": (
+        None,
+        {"kind": "zf", "n": 2, "trials": 2},
+        "e25da23b8f4765ea876ed470cf38203acccf2d7ce9c036a7042c7e31d4a3958d",
+    ),
+    "hat": (
+        None,
+        {"kind": "hat", "n": 2, "trials": 2},
+        "5ed7f286cc4995137a9506aab3c8142dc84628517f0325846ca4f715ced94ea0",
+    ),
+    "rll": (
+        None,
+        {"kind": "rll", "n": 2, "l": 1},
+        "8927919736e574970a2a0fa4086d4dcbf355257a1f92cac6e0b52034c46455f4",
+    ),
+    "lt-link": (
+        None,
+        {"kind": "lt-link", "n": 3, "l": 2},
+        "0b50dfbeb112503d2ee511d3394f5c39304e892614358022ac32151dc8ff8875",
+    ),
+    "zf-doubled-r": (
+        ("r_element", _doubled_r),
+        {"kind": "zf", "n": 2, "trials": 2},
+        "15848a7208da558ac022328bb01e88e72dc398a4821af76ee795f37fd65f3920",
+    ),
+    "rtt-swap-doubled-r": (
+        ("r_element", _swap_doubled_r),
+        {"kind": "rtt", "n": 2, "trials": 2},
+        "091fa6508ae1bcb1aed29df6a2efc97c676810f7cec52b8aea9adb1044639ba5",
+    ),
+    "rll-swap-doubled-r": (
+        ("r_element", _swap_doubled_r),
+        {"kind": "rll", "n": 2, "l": 1},
+        "6764a600713e833526beded61dcb6e01b48bd4d48160f35969da37deb78dde6f",
+    ),
+    "hat-doubled-term-1-0": (
+        ("hat_operators", _doubled_hat_term(1, 0)),
+        {"kind": "hat", "n": 2, "trials": 2},
+        "6c54f8a8f1f8f4e2d7bd397b06f4f097416938246f8d61379c87bb28234345fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_REPORTS))
+def test_report_matches_the_recorded_digest(monkeypatch, case):
+    import asepx.algebra_checks as checks
+
+    mutation, kwargs, expected = GOLDEN_REPORTS[case]
+    if mutation is not None:
+        name, wrap = mutation
+        monkeypatch.setattr(checks, name, wrap(getattr(checks, name)))
+    report = run_check(**kwargs)
+    assert report.passed == (mutation is None)
+    data = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == expected

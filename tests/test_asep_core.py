@@ -16,14 +16,13 @@ from asepx.asep_core import (
     cyclic_orbit_reps,
     cyclic_shift,
     gillespie,
-    local_markov,
     markov_sector,
     nonzero_residual,
     stationary_kernel,
 )
 from asepx.scalar import P_ZERO, Poly, RatFunc, random_point
 
-from conftest import poly
+from conftest import local_markov, poly
 from test_scalar import _coeffs, _nonzero_polys, _polys
 
 

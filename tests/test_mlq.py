@@ -20,7 +20,6 @@ from asepx.mlq import (
     enumerate_pairings,
     iter_mlqs,
     m_element,
-    mlq_enumerate_direct,
     mlq_state,
     pairing_denominator,
     pairing_weight,
@@ -28,7 +27,7 @@ from asepx.mlq import (
 )
 from asepx.scalar import Poly, RatFunc, random_point
 
-from conftest import one_minus_t_pow, poly, rf
+from conftest import mlq_enumerate_direct, one_minus_t_pow, poly, rf
 
 
 def _weight_table(i, j, order, qeff):

