@@ -15,7 +15,7 @@ from .asep_core import (
     markov_sector,
     stationary_kernel,
 )
-from .ctm import build_T, build_X, mp_stationary, mp_trace
+from .ctm import build_T, build_X, check_recursion, mp_stationary, mp_trace
 from .mlq import (
     BallSystem,
     PairingOutcome,

@@ -30,7 +30,6 @@ from .asep_core import (
 )
 from .ctm import (
     EvalTerm,
-    ModeWords,
     XOperator,
     XTerm,
     _x_eval_terms,
@@ -44,7 +43,7 @@ from .oscillator import (
     APLUS,
     FockTruncation,
     K,
-    OscWord,
+    ModeWords,
     apply_word_to_level,
     multimode_sum_is_zero,
     multimode_words_mul,
@@ -299,14 +298,12 @@ def build_calL(n: int) -> dict[tuple[int, int], Optional[ModeWords]]:
             if al > be:
                 out[(al, be)] = None
                 continue
-            words: list[tuple[int, OscWord]] = []
+            words = [()] * be + [(K,)] * (n - be)
             if al < be:
                 if al >= 1:
-                    words.append((al, (APLUS,)))
-                words.append((be, (AMINUS,)))
-            for mode in range(be + 1, n + 1):
-                words.append((mode, (K,)))
-            out[(al, be)] = tuple(sorted(words))
+                    words[al - 1] = (APLUS,)
+                words[be - 1] = (AMINUS,)
+            out[(al, be)] = tuple(words)
     return out
 
 
@@ -324,19 +321,18 @@ def check_LtT(n: int, z0: Optional[Fraction] = None) -> CheckReport:
         for be in range(n + 1):
             lhs = call[(al, be)]
             col = be + 1 if be < n else 0
-            tentry = tmat.entry(al, col)
+            tentry = tmat.get((al, col))
             if tentry is None:
                 rhs_words = None
                 rhs_zdeg = 0
             else:
-                dress: list[tuple[int, OscWord]] = []
                 if be == n:
-                    dress.append((n, (AMINUS,)))
+                    dress = (AMINUS,)
                     rhs_zdeg = tentry.zdeg
                 else:
-                    dress.append((n, (K,)))
+                    dress = (K,)
                     rhs_zdeg = tentry.zdeg - 1
-                rhs_words = multimode_words_mul(tentry.words, tuple(dress))
+                rhs_words = tentry.words + (dress,)
             if lhs is None:
                 ok = rhs_words is None
             elif rhs_words is None:
@@ -356,11 +352,8 @@ def check_LtT(n: int, z0: Optional[Fraction] = None) -> CheckReport:
 
 
 def _same_modewords(a: ModeWords, b: ModeWords) -> bool:
-    da, db = dict(a), dict(b)
-    if set(da) != set(db):
-        return False
-    return all(
-        normal_order(da[m]).terms == normal_order(db[m]).terms for m in da
+    return len(a) == len(b) and all(
+        normal_order(x).terms == normal_order(y).terms for x, y in zip(a, b)
     )
 
 
@@ -422,14 +415,14 @@ def _apply_modewords(
     Returns the image levels and the coefficient, or None when the word
     annihilates the state or, with a window given, leaves it.
     """
-    out = list(levels)
+    out = []
     coeff = Fraction(1)
-    for mode, word in modewords:
-        d2, c = apply_word_to_level(word, out[mode - 1], t0=t0)
+    for word, d in zip(modewords, levels, strict=True):
+        d2, c = apply_word_to_level(word, d, t0)
         if not c or (window is not None and d2 > window):
             return None
         coeff *= c
-        out[mode - 1] = d2
+        out.append(d2)
     return tuple(out), coeff
 
 
@@ -492,7 +485,7 @@ def check_rtt(
     tmat = build_T(n)
 
     def tev(i: int, j: int, zval: Fraction) -> list[EvalTerm]:
-        entry = tmat.entry(i, j)
+        entry = tmat.get((i, j))
         return [] if entry is None else [(zval**entry.zdeg, entry.words)]
 
     def cases():
@@ -586,13 +579,15 @@ def check_hat(n: int, trunc: FockTruncation, t0: Fraction) -> CheckReport:
 # the MLQ trace theorem and full stationarity
 
 
-def check_ms_theorem(
-    trials: int,
-    seed: int,
-    l_max: int = 7,
-    m_max: int = 5,
-    qs_per_instance: int = 3,
-) -> CheckReport:
+# shape of the random ms-theorem instances: rows of at most MS_L_MAX
+# sites with at most MS_M_MAX balls above, each compared at
+# MS_QS_PER_INSTANCE values of q
+MS_L_MAX = 7
+MS_M_MAX = 5
+MS_QS_PER_INSTANCE = 3
+
+
+def check_ms_theorem(trials: int, seed: int) -> CheckReport:
     """Random equality runs of the pairing sum against the oscillator trace.
 
     Each instance draws rows (i, j) and an admissible image a, then
@@ -602,8 +597,8 @@ def check_ms_theorem(
     witnesses = []
     done = 0
     while done < trials:
-        L = rng.randint(2, l_max)
-        m = rng.randint(1, min(m_max, L))
+        L = rng.randint(2, MS_L_MAX)
+        m = rng.randint(1, min(MS_M_MAX, L))
         l = rng.randint(0, m - 1)
         cols = list(range(L))
         jcols = rng.sample(cols, m)
@@ -613,7 +608,7 @@ def check_ms_theorem(
         j = tuple(1 if c in jcols else 0 for c in range(L))
         a = tuple(1 if c in acols else 0 for c in range(L))
         b = tuple(j[c] - a[c] for c in range(L))
-        for k in range(qs_per_instance):
+        for k in range(MS_QS_PER_INSTANCE):
             q = random_point(seed * 100003 + done * 17 + k)
             lhs = m_element(q, i, j, a, b)
             rhs = s_element(q, i, j, a, b)
@@ -623,10 +618,14 @@ def check_ms_theorem(
     return CheckReport(
         name="ms-theorem",
         passed=not witnesses,
-        params={"l_max": l_max, "m_max": m_max, "qs_per_instance": qs_per_instance},
+        params={
+            "l_max": MS_L_MAX,
+            "m_max": MS_M_MAX,
+            "qs_per_instance": MS_QS_PER_INSTANCE,
+        },
         trials=trials,
         witnesses=witnesses[:5],
-        degree_bound={"q": 2 * (m_max + 1)},
+        degree_bound={"q": 2 * (MS_M_MAX + 1)},
         notes="exact in t for every sampled q",
     )
 

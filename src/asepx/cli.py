@@ -173,11 +173,14 @@ def cmd_simulate(args) -> int:
 def cmd_dump_x(args) -> int:
     x = build_X(args.n, args.alpha)
     terms = []
-    for term in sorted(x.terms, key=lambda t: (t.zdeg, t.words)):
+    # sorted by z-degree, then by the nonempty (mode, word) pairs: sorting
+    # the dense word tuples themselves would reorder the terms
+    for term in sorted(x.terms, key=lambda t: (
+            t.zdeg, [(m, w) for m, w in enumerate(t.words, 1) if w])):
         terms.append(
             {
                 "zdeg": term.zdeg,
-                "word": multimode_word_to_str(term.words, x.nmodes),
+                "word": multimode_word_to_str(term.words),
             }
         )
     payload = {

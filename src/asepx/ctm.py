@@ -12,8 +12,11 @@ denominator, a product of factors (1 - t^j) known from the closed forms,
 and reduced once; the sector's traces are put over the lcm of their
 denominators, a `SectorVector`.
 
-Mode numbering: the rightmost column of the rank-n operator uses modes
-1..n-1; the embedded rank-(n-1) operator uses the higher mode labels.
+Mode numbering: a term's words form one `ModeWords`, one word per mode.
+The rank-n operator's modes are the n-1 modes of the column operator T
+(modes 1..n-1) followed by the modes of the embedded rank-(n-1)
+operator, so the recursion builds each term's words as T's words
+concatenated with the embedded term's words.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .asep_core import Config, Multiplicity, SectorBasis, cyclic_orbit_reps
 from .mlq import SectorVector
@@ -32,15 +34,13 @@ from .oscillator import (
     DivergentTraceError,
     FockTruncation,
     K,
+    ModeWords,
     NormalForm,
-    OscWord,
     multimode_sum_is_zero,
-    multimode_words_mul,
     trace_pem,
 )
 from .scalar import P_ONE, P_ZERO, Poly, RatFunc, one_minus_qtk
 
-ModeWords = tuple[tuple[int, OscWord], ...]
 EvalTerm = tuple[Fraction, ModeWords]
 
 
@@ -52,12 +52,6 @@ class XTerm:
     words: ModeWords
     coeff: Poly = P_ONE
 
-    def word_for(self, mode: int) -> OscWord:
-        for m, w in self.words:
-            if m == mode:
-                return w
-        return ()
-
 
 @dataclass(frozen=True)
 class XOperator:
@@ -68,55 +62,38 @@ class XOperator:
     terms: tuple[XTerm, ...]
 
 
-@dataclass
-class TMatrix:
-    """Column operator of rank n: entries (i, j) for 0 <= i <= n-1, 0 <= j <= n.
+def build_T(n: int) -> dict[tuple[int, int], XTerm]:
+    """Column operator of rank n as {(i, j): term}, 0 <= i <= n-1, 0 <= j <= n.
 
-    The lower-left triangle (1 <= j <= i) is zero; entries act on modes
-    1..n-1.
+    Entry (i, 0) is a+_i (with a+_0 = 1); for j >= 1, z k_j..k_{n-1} on
+    the superdiagonal and z a+_i a-_{j-1} k_j..k_{n-1} above it.  Entries
+    at or below the diagonal (1 <= j <= i) are zero and absent.  Words
+    act on modes 1..n-1.
     """
-
-    n: int
-    entries: dict[tuple[int, int], Optional[XTerm]]
-
-    def entry(self, i: int, j: int) -> Optional[XTerm]:
-        return self.entries.get((i, j))
-
-
-def build_T(n: int) -> TMatrix:
-    """Column operator: entry (i, 0) is a+_i (with a+_0 = 1); for j >= 1,
-    z k_j..k_{n-1} on the superdiagonal, z a+_i a-_{j-1} k_j..k_{n-1} above
-    it, zero at or below the diagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    entries: dict[tuple[int, int], Optional[XTerm]] = {}
+    entries: dict[tuple[int, int], XTerm] = {}
     for i in range(n):
-        entries[(i, 0)] = XTerm(0, ((i, (APLUS,)),) if i >= 1 else ())
-        for j in range(1, n + 1):
-            if j <= i:
-                entries[(i, j)] = None
-                continue
-            words: list[tuple[int, OscWord]] = []
+        words = [()] * (n - 1)
+        if i >= 1:
+            words[i - 1] = (APLUS,)
+        entries[(i, 0)] = XTerm(0, tuple(words))
+        for j in range(i + 1, n + 1):
+            words = [()] * (j - 1) + [(K,)] * (n - j)
             if j >= i + 2:
                 if i >= 1:
-                    words.append((i, (APLUS,)))
-                words.append((j - 1, (AMINUS,)))
-            for mode in range(j, n):
-                words.append((mode, (K,)))
-            entries[(i, j)] = XTerm(1, tuple(sorted(words)))
-    return TMatrix(n, entries)
-
-
-def _shift_modes(words: ModeWords, offset: int) -> ModeWords:
-    return tuple((m + offset, w) for m, w in words)
+                    words[i - 1] = (APLUS,)
+                words[j - 2] = (AMINUS,)
+            entries[(i, j)] = XTerm(1, tuple(words))
+    return entries
 
 
 @lru_cache(maxsize=None)
 def build_X(n: int, alpha: int) -> XOperator:
     """Layer operator by the rank recursion X_a = sum_i X~_i(z) T(z)_{i a}.
 
-    Base cases: rank 0 has X_0 = 1; rank 1 has X_0 = 1, X_1 = z.  The
-    embedded rank-(n-1) operator has every mode index shifted by n-1.
+    Base cases: rank 0 has X_0 = 1; rank 1 has X_0 = 1, X_1 = z.  Each
+    term's words are T's n-1 words followed by the embedded term's words.
     """
     if alpha < 0 or alpha > n:
         raise ValueError(f"alpha {alpha} out of range for rank {n}")
@@ -127,14 +104,14 @@ def build_X(n: int, alpha: int) -> XOperator:
     tmat = build_T(n)
     terms: list[XTerm] = []
     for i in range(n):
-        tentry = tmat.entry(i, alpha)
+        tentry = tmat.get((i, alpha))
         if tentry is None:
             continue
         for sterm in build_X(n - 1, i).terms:
             terms.append(
                 XTerm(
                     sterm.zdeg + tentry.zdeg,
-                    multimode_words_mul(_shift_modes(sterm.words, n - 1), tentry.words),
+                    tentry.words + sterm.words,
                     sterm.coeff * tentry.coeff,
                 )
             )
@@ -172,9 +149,7 @@ def _balanced_terms(sigma: Config) -> dict[tuple[PEM, ...], Poly]:
             for term in ops[alpha].terms:
                 scaled = coeff if term.coeff == P_ONE else coeff * term.coeff
                 expansions: list[tuple[tuple[PEM, ...], Poly]] = [((), scaled)]
-                for mode in range(1, nmodes + 1):
-                    word = term.word_for(mode)
-                    pem = key[mode - 1]
+                for pem, word in zip(key, term.words):
                     if word:
                         parts = NormalForm({pem: P_ONE}).mul_word(word).terms.items()
                     else:
@@ -276,14 +251,11 @@ def check_recursion(
     for alpha in range(n + 1):
         terms = _x_eval_terms(build_X(n, alpha), z0, t0)
         for i in range(n):
-            tentry = tmat.entry(i, alpha)
+            tentry = tmat.get((i, alpha))
             if tentry is None:
                 continue
             for c, words in _x_eval_terms(build_X(n - 1, i), z0, t0):
-                terms.append((
-                    -c * z0**tentry.zdeg,
-                    multimode_words_mul(_shift_modes(words, n - 1), tentry.words),
-                ))
+                terms.append((-c * z0**tentry.zdeg, tentry.words + words))
         if not multimode_sum_is_zero(terms, nmodes, window, t0):
             return False
     return True

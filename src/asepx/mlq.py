@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 from typing import Iterator, Optional
 
@@ -335,21 +335,11 @@ def project_pi(nums: dict[tuple[Row, ...], Poly], den: Poly = P_ONE) -> SectorVe
 
 def _ball_systems(m: Multiplicity) -> Iterator[tuple[Row, ...]]:
     """All (b_n, ..., b_1) row stacks for the sector content m."""
-    L = m.L
     lv = m.l_values()
-    occupancies = [lv[i] for i in range(m.n, 0, -1)]  # l_n, ..., l_1
-
-    def rows_for(l: int) -> list[Row]:
-        return [row_from_cols(cols, L) for cols in combinations(range(L), l)]
-
-    def rec(idx: int, acc: tuple[Row, ...]):
-        if idx == len(occupancies):
-            yield acc
-            return
-        for r in rows_for(occupancies[idx]):
-            yield from rec(idx + 1, acc + (r,))
-
-    yield from rec(0, ())
+    return product(*(
+        [row_from_cols(cols, m.L) for cols in combinations(range(m.L), lv[i])]
+        for i in range(m.n, 0, -1)  # l_n, ..., l_1
+    ))
 
 
 def mlq_state(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:

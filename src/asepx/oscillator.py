@@ -44,6 +44,10 @@ LETTERS = (APLUS, AMINUS, K)
 
 OscWord = tuple[str, ...]
 
+# A multi-mode word: one OscWord per Fock mode, mode 1 first; the empty
+# word () is the identity on its mode.  Distinct modes commute.
+ModeWords = tuple[OscWord, ...]
+
 
 class UnbalancedWordError(ValueError):
     """Trace of a word whose a+ and a- counts differ."""
@@ -140,30 +144,22 @@ def normal_order(w: Union[OscWord, str]) -> NormalForm:
     return NormalForm.one().mul_word(w)
 
 
-def apply_word_to_level(
-    w: OscWord, d: int, t0: Optional[Fraction] = None, dim: Optional[int] = None
-) -> tuple[int, Union[Poly, Fraction]]:
-    """Act with a word on the Fock state |d>.
+def apply_word_to_level(w: OscWord, d: int, t0: Fraction) -> tuple[int, Fraction]:
+    """Act with a word on the Fock state |d>, exact at t = t0.
 
-    Returns (d', coeff) with coeff either a Poly in t (t0 None) or an
-    exact Fraction.  With `dim` given, the truncated action is used:
-    a+ kills |dim-1> (and any excursion past the cutoff).
+    Returns (d', coeff); an annihilated state gives (0, 0).
     """
-    coeff: Union[Poly, Fraction] = P_ONE if t0 is None else Fraction(1)
-    zero: Union[Poly, Fraction] = P_ZERO if t0 is None else Fraction(0)
+    coeff = Fraction(1)
     for letter in reversed(w):
         if letter == K:
-            coeff = coeff.shift(d) if t0 is None else coeff * t0**d
+            coeff *= t0**d
         elif letter == AMINUS:
             if d == 0:
-                return 0, zero
-            fac = Poly((1,) + (0,) * (d - 1) + (-1,)) if t0 is None else 1 - t0**d
-            coeff = coeff * fac
+                return 0, Fraction(0)
+            coeff *= 1 - t0**d
             d -= 1
         else:
             d += 1
-            if dim is not None and d >= dim:
-                return 0, zero
     return d, coeff
 
 
@@ -288,28 +284,18 @@ class FockTruncation:
 # multi-mode helpers shared by the layer-operator and identity-check code
 
 
-def multimode_word_to_str(
-    words: Iterable[tuple[int, OscWord]], nmodes: int
-) -> str:
+def multimode_word_to_str(words: ModeWords) -> str:
     """Serialize a multi-mode word: per-mode letter strings joined by '|'."""
-    wd = dict(words)
-    return "|".join(word_to_str(wd.get(mode, ())) for mode in range(1, nmodes + 1))
+    return "|".join(word_to_str(w) for w in words)
 
 
-def multimode_words_mul(
-    a: Iterable[tuple[int, OscWord]], b: Iterable[tuple[int, OscWord]]
-) -> tuple[tuple[int, OscWord], ...]:
-    """Product of two multi-mode words (mode -> word maps).
+def multimode_words_mul(a: ModeWords, b: ModeWords) -> ModeWords:
+    """Product of two multi-mode words over the same modes.
 
     Distinct modes commute; within a mode the left factor's letters act
     after the right factor's, i.e. words concatenate in written order.
     """
-    merged: dict[int, tuple[str, ...]] = {}
-    for mode, word in a:
-        merged[mode] = merged.get(mode, ()) + word
-    for mode, word in b:
-        merged[mode] = merged.get(mode, ()) + word
-    return tuple(sorted((m, w) for m, w in merged.items() if w))
+    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def _mode_vector(
@@ -326,7 +312,7 @@ def _mode_vector(
 
 
 def multimode_sum_is_zero(
-    terms: Iterable[tuple[Fraction, tuple[tuple[int, OscWord], ...]]],
+    terms: Iterable[tuple[Fraction, ModeWords]],
     nmodes: int,
     window: int,
     t0: Fraction,
@@ -345,12 +331,10 @@ def multimode_sum_is_zero(
             f"safe window {window} leaves no truncation-free level to compare;"
             " need a Fock dimension of at least 4"
         )
-    groups: dict[tuple[int, ...], list[tuple[Fraction, tuple[OscWord, ...]]]] = {}
-    for coeff, modewords in terms:
+    groups: dict[tuple[int, ...], list[tuple[Fraction, ModeWords]]] = {}
+    for coeff, words in terms:
         if not coeff:
             continue
-        wd = dict(modewords)
-        words = tuple(wd.get(mode, ()) for mode in range(1, nmodes + 1))
         shifts = tuple(word_imbalance(w) for w in words)
         groups.setdefault(shifts, []).append((coeff, words))
 

@@ -17,6 +17,33 @@ def one_minus_t_pow(e: int) -> Poly:
     return Poly((1,) + (0,) * (e - 1) + (-1,))
 
 
+def fock_action(w, d: int, dim=None) -> tuple[int, Poly]:
+    """Oracle: act with a word on |d>, with coefficients Polys in t.
+
+    With `dim` given, the truncated action: a+ kills |dim-1>.  An
+    annihilated state gives (0, 0).
+    """
+    coeff = P_ONE
+    for letter in reversed(w):
+        if letter == "k":
+            coeff = coeff.shift(d)
+        elif letter == "-":
+            if d == 0:
+                return 0, P_ZERO
+            coeff = coeff * one_minus_t_pow(d)
+            d -= 1
+        else:
+            d += 1
+            if dim is not None and d >= dim:
+                return 0, P_ZERO
+    return d, coeff
+
+
+def sparse(words) -> tuple:
+    """Sparse view ((mode, word), ...) of a multi-mode word, empty words left out."""
+    return tuple((m, w) for m, w in enumerate(words, 1) if w)
+
+
 def rf(num, den=None) -> RatFunc:
     if not isinstance(num, Poly):
         num = poly(num)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -151,6 +152,21 @@ class TestDumpCommands:
         data = json.loads(out)
         assert {"zdeg": 1, "word": "k|k|"} in data["terms"]
         assert {"zdeg": 2, "word": "k|k|+"} in data["terms"]
+
+    def test_dump_x_matches_the_recorded_digest(self, capsys):
+        # sha256 of dump-x stdout for n = 0..4, every alpha, json then text,
+        # recorded while multi-mode words were sorted (mode, word) pairs
+        digest = hashlib.sha256()
+        for n in range(5):
+            for alpha in range(n + 1):
+                for fmt in ("json", "text"):
+                    code, out = _capture(capsys, [
+                        "dump-x", "--n", str(n), "--alpha", str(alpha), "--format", fmt])
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "02a51d251270626b9a642bab8a37c3892bcbbe5fa1243d3723994417b851800c"
+        )
 
     def test_dump_mlq_arrows(self, capsys):
         code, out = _capture(capsys, ["dump-mlq", "--mult", "1,1,1", "--q", "1"])

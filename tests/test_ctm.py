@@ -16,15 +16,10 @@ from asepx.ctm import (
     mp_stationary,
     mp_trace,
 )
-from asepx.oscillator import (
-    DivergentTraceError,
-    FockTruncation,
-    apply_word_to_level,
-    trace_pem,
-)
+from asepx.oscillator import DivergentTraceError, FockTruncation, trace_pem
 from asepx.scalar import Poly, RatFunc, random_point
 
-from conftest import one_minus_t_pow, poly, rf
+from conftest import fock_action, one_minus_t_pow, poly, rf, sparse
 
 
 def W(pattern: str):
@@ -52,11 +47,11 @@ class TestBuildT:
         }
         zeros = {(1, 1), (2, 1), (2, 2)}
         for key, (zdeg, words) in expected.items():
-            entry = tm.entry(*key)
+            entry = tm.get(key)
             assert entry is not None
-            assert (entry.zdeg, entry.words) == (zdeg, words), key
+            assert (entry.zdeg, sparse(entry.words)) == (zdeg, words), key
         for key in zeros:
-            assert tm.entry(*key) is None
+            assert tm.get(key) is None
 
     def test_rank_four(self):
         tm = build_T(4)
@@ -77,21 +72,21 @@ class TestBuildT:
             (3, 4): (1, W("")),
         }
         for key, (zdeg, words) in expected.items():
-            entry = tm.entry(*key)
+            entry = tm.get(key)
             assert entry is not None, key
-            assert (entry.zdeg, entry.words) == (zdeg, words), key
+            assert (entry.zdeg, sparse(entry.words)) == (zdeg, words), key
         for i in range(4):
             for j in range(1, i + 1):
-                assert tm.entry(i, j) is None
+                assert tm.get((i, j)) is None
 
     def test_rank_one(self):
         tm = build_T(1)
-        assert (tm.entry(0, 0).zdeg, tm.entry(0, 0).words) == (0, ())
-        assert (tm.entry(0, 1).zdeg, tm.entry(0, 1).words) == (1, ())
+        assert (tm[(0, 0)].zdeg, tm[(0, 0)].words) == (0, ())
+        assert (tm[(0, 1)].zdeg, tm[(0, 1)].words) == (1, ())
 
 
 def _term_set(x):
-    return {(t.zdeg, t.words) for t in x.terms}
+    return {(t.zdeg, sparse(t.words)) for t in x.terms}
 
 
 class TestBuildX:
@@ -131,7 +126,7 @@ class TestBuildX:
             tm = build_T(n)
             for alpha in range(1, n + 1):
                 for i in range(alpha, n):
-                    assert tm.entry(i, alpha) is None
+                    assert tm.get((i, alpha)) is None
 
 
 def truncated_matrix(terms, nmodes, dim, t0=None):
@@ -143,11 +138,10 @@ def truncated_matrix(terms, nmodes, dim, t0=None):
     out = {}
     for col in product(range(dim), repeat=nmodes):
         for coeff, words in terms:
-            wd = dict(words)
             row = []
-            for mode, d in enumerate(col, start=1):
-                d2, c = apply_word_to_level(wd.get(mode, ()), d, t0=t0, dim=dim)
-                coeff = coeff * c
+            for word, d in zip(words, col, strict=True):
+                d2, c = fock_action(word, d, dim)
+                coeff = coeff * (c if t0 is None else c.eval(t0))
                 row.append(d2)
             if coeff:
                 key = (tuple(row), col)
@@ -171,11 +165,14 @@ def recursion_by_composition(n, z0, t0, dim):
         lhs = truncated_matrix(terms, nmodes, dim, t0)
         rhs = {}
         for i in range(n):
-            tentry = tmat.entry(i, alpha)
+            tentry = tmat.get((i, alpha))
             if tentry is None:
                 continue
-            tm = truncated_matrix([(z0**tentry.zdeg, tentry.words)], nmodes, dim, t0)
-            shifted = [(c, tuple((m + n - 1, w) for m, w in words))
+            # T acts on the first n-1 modes, the embedded X~_i on the rest
+            rest = ((),) * (nmodes - n + 1)
+            tm = truncated_matrix(
+                [(z0**tentry.zdeg, tentry.words + rest)], nmodes, dim, t0)
+            shifted = [(c, ((),) * (n - 1) + words)
                        for c, words in _x_eval_terms(ctm.build_X(n - 1, i), z0, t0)]
             by_col = {}
             for (row, mid), c2 in truncated_matrix(shifted, nmodes, dim, t0).items():

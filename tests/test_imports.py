@@ -1,7 +1,10 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every
+module-level function, class and method of the package is used in it.
 
-A stdlib `ast` scan over `src/asepx` and `tests`; the package
-`__init__.py` files are exempt, because their imports are re-exports.
+Stdlib `ast` scans.  The import scan covers `src/asepx` and `tests`; the
+package `__init__.py` files are exempt, because their imports are
+re-exports.  The definition scan covers `src/asepx`, where an
+`__init__.py` re-export counts as a use.
 """
 
 import ast
@@ -10,9 +13,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "asepx"
 MODULES = [
     path
-    for folder in (ROOT / "src" / "asepx", ROOT / "tests")
+    for folder in (PACKAGE, ROOT / "tests")
     for path in sorted(folder.glob("*.py"))
     if path.name != "__init__.py"
 ]
@@ -63,3 +67,57 @@ def test_scan_flags_an_unused_import():
         "def f(x: 'Optional[int]') -> None:\n    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["F", "json"]
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, whose name no module in `sources` uses.
+
+    A use is a name, an attribute, a name imported from a module or a name
+    in a string annotation, anywhere in `sources`; a method is matched by
+    its name alone.
+    """
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{module}:{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                        defined[sub.name] = f"{module}:{node.name}.{sub.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                used |= _annotation_names(node.annotation)
+            elif isinstance(node, ast.FunctionDef) and node.returns:
+                used |= _annotation_names(node.returns)
+    return sorted(where for name, where in defined.items() if name not in used)
+
+
+def test_every_package_definition_is_used():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_definitions(sources) == []
+
+
+def test_scan_flags_an_unused_definition():
+    sources = {
+        "__init__": "from .core import exported\n",
+        "core": (
+            "def exported():\n    return helper()\n"
+            "def helper():\n    return Box().size()\n"
+            "def dead():\n    return 0\n"
+            "class Box:\n"
+            "    def __repr__(self):\n        return ''\n"
+            "    def size(self):\n        return 1\n"
+            "    def word_for(self, mode):\n        return ()\n"
+        ),
+    }
+    assert unused_definitions(sources) == ["core:Box.word_for", "core:dead"]

@@ -22,14 +22,14 @@ from asepx.oscillator import (
 )
 from asepx.scalar import Poly, RatFunc
 
-from conftest import one_minus_t_pow, poly, rf
+from conftest import fock_action, one_minus_t_pow, poly, rf
 
 
-def word_matrix(w, trunc, t0=None):
+def word_matrix(w, trunc):
     """Oracle: sparse truncated matrix {(row, col): coeff} of a word."""
     out = {}
     for d in range(trunc.dim):
-        d2, coeff = apply_word_to_level(w, d, t0=t0, dim=trunc.dim)
+        d2, coeff = fock_action(w, d, trunc.dim)
         if coeff:
             out[(d2, d)] = coeff
     return out
@@ -303,14 +303,10 @@ class TestSerialization:
         from asepx.oscillator import multimode_word_to_str
 
         def multimode_word_from_str(s):
-            return tuple(
-                (mode, word_from_str(part))
-                for mode, part in enumerate(s.split("|"), start=1)
-                if part
-            )
+            return tuple(word_from_str(part) for part in s.split("|"))
 
-        words = ((1, word_from_str("+k")), (3, word_from_str("-")))
-        s = multimode_word_to_str(words, 3)
+        words = (word_from_str("+k"), (), word_from_str("-"))
+        s = multimode_word_to_str(words)
         assert s == "+k||-"
         assert multimode_word_from_str(s) == words
 
@@ -326,8 +322,8 @@ class TestSafeWindow:
             p_count = sum(1 for c in w if c == APLUS)
             window = dim - 1 - p_count
             for d in range(window + 1):
-                d_tr, c_tr = apply_word_to_level(w, d, dim=dim)
-                d_ex, c_ex = apply_word_to_level(w, d)
+                d_tr, c_tr = fock_action(w, d, dim)
+                d_ex, c_ex = fock_action(w, d)
                 if d_ex <= window:
                     assert (d_tr, c_tr) == (d_ex, c_ex)
 
@@ -341,12 +337,21 @@ class TestFockTruncation:
     def test_action_matches_definition(self):
         # k|d> = t^d|d>, a-|d> = (1-t^d)|d-1>, a+|d> = |d+1>
         for d in range(1, 6):
-            d2, c = apply_word_to_level((K,), d)
+            d2, c = fock_action((K,), d)
             assert (d2, c) == (d, Poly((0,) * d + (1,)))
-            d2, c = apply_word_to_level((AMINUS,), d)
+            d2, c = fock_action((AMINUS,), d)
             assert d2 == d - 1 and c == poly(1) - Poly((0,) * d + (1,))
-            d2, c = apply_word_to_level((APLUS,), d)
+            d2, c = fock_action((APLUS,), d)
             assert d2 == d + 1 and c == poly(1)
+
+    def test_point_action_is_the_oracle_at_t0(self):
+        rng = random.Random(17)
+        t0 = Fraction(2, 7)
+        for _ in range(80):
+            w = tuple(rng.choice("+-k") for _ in range(rng.randint(0, 6)))
+            for d in range(6):
+                d2, c = fock_action(w, d)
+                assert apply_word_to_level(w, d, t0) == (d2, c.eval(t0))
 
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
