@@ -39,9 +39,10 @@ from .oscillator import (
     multimode_sum_is_zero,
     trace_pem,
 )
-from .scalar import P_ONE, P_ZERO, Poly, RatFunc, one_minus_qtk
+from .scalar import P, P_ONE, P_ZERO, Poly, RatFunc, one_minus_qtk, residue
 
-EvalTerm = tuple[Fraction, ModeWords]
+# a term with its coefficient as a residue mod P
+EvalTerm = tuple[int, ModeWords]
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,11 @@ def mp_stationary(m: Multiplicity) -> SectorVector:
 # rank recursion as a truncated-matrix identity
 
 
-def _x_eval_terms(x: XOperator, zval: Fraction, t0: Fraction) -> list[EvalTerm]:
-    """The operator's terms with coefficients evaluated at (z, t) = (zval, t0)."""
+def _x_eval_terms(x: XOperator, z: int, t: int) -> list[EvalTerm]:
+    """The operator's terms with coefficients mod P at the residues (z, t)."""
     out = []
     for term in x.terms:
-        c = term.coeff.eval(t0) * zval**term.zdeg
+        c = term.coeff.residue_at(t) * pow(z, term.zdeg, P) % P
         if c:
             out.append((c, term.words))
     return out
@@ -241,21 +242,22 @@ def check_recursion(
 ) -> bool:
     """Rank recursion X_a = sum_i X~_i T_{i a} as a truncated-matrix identity.
 
-    Both sides are evaluated at (z0, t0), and their difference is tested
-    on the safe window by the exact tensor-factorized zero test, so the
-    product state space is never enumerated.
+    Both sides are evaluated mod P at the residues of (z0, t0), and their
+    difference is tested on the safe window by the tensor-factorized
+    zero test, so the product state space is never enumerated.
     """
-    nmodes = n * (n - 1) // 2
+    z, t = residue(z0), residue(t0)
     window = trunc.safe_window(2)
     tmat = build_T(n)
     for alpha in range(n + 1):
-        terms = _x_eval_terms(build_X(n, alpha), z0, t0)
+        terms = _x_eval_terms(build_X(n, alpha), z, t)
         for i in range(n):
             tentry = tmat.get((i, alpha))
             if tentry is None:
                 continue
-            for c, words in _x_eval_terms(build_X(n - 1, i), z0, t0):
-                terms.append((-c * z0**tentry.zdeg, tentry.words + words))
-        if not multimode_sum_is_zero(terms, nmodes, window, t0):
+            zt = pow(z, tentry.zdeg, P)
+            for c, words in _x_eval_terms(build_X(n - 1, i), z, t):
+                terms.append((-c * zt, tentry.words + words))
+        if not multimode_sum_is_zero(terms, window, t):
             return False
     return True

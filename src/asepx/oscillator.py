@@ -18,6 +18,14 @@ confluent, terminating rules
 Traces tr(q^h . word) over F are evaluated in closed form as finite
 sums of geometric series, producing exact rational functions in t with
 q substituted as a rational number.
+
+The point action `apply_word_to_level` and the window zero test
+`multimode_sum_is_zero` of the identity checks run mod the prime
+P = 2^61 - 1 of `scalar`, at the residue of the sampled t: exact linear
+algebra over GF(P), so a sum passes iff every window matrix element is
+0 mod P.  A matrix element nonzero over Q is 0 mod P only if P divides
+its numerator; `algebra_checks` bounds the coefficients of the
+identities it tests below P, which keeps the randomized checks sound.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .scalar import (
+    P,
     P_ONE,
     P_ZERO,
     Poly,
@@ -144,19 +153,19 @@ def normal_order(w: Union[OscWord, str]) -> NormalForm:
     return NormalForm.one().mul_word(w)
 
 
-def apply_word_to_level(w: OscWord, d: int, t0: Fraction) -> tuple[int, Fraction]:
-    """Act with a word on the Fock state |d>, exact at t = t0.
+def apply_word_to_level(w: OscWord, d: int, t: int) -> tuple[int, int]:
+    """Act with a word on the Fock state |d>, mod P at the residue t.
 
     Returns (d', coeff); an annihilated state gives (0, 0).
     """
-    coeff = Fraction(1)
+    coeff = 1
     for letter in reversed(w):
         if letter == K:
-            coeff *= t0**d
+            coeff = coeff * pow(t, d, P) % P
         elif letter == AMINUS:
             if d == 0:
-                return 0, Fraction(0)
-            coeff *= 1 - t0**d
+                return 0, 0
+            coeff = coeff * (1 - pow(t, d, P)) % P
             d -= 1
         else:
             d += 1
@@ -298,101 +307,91 @@ def multimode_words_mul(a: ModeWords, b: ModeWords) -> ModeWords:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def _mode_vector(
-    word: OscWord, shift: int, window: int, t0: Fraction
-) -> tuple[Fraction, ...]:
-    """(⟨d+shift| word |d⟩)_d over the window, exact at t = t0."""
+# a check reads a few dozen distinct mode vectors, all at its own t, so a
+# small bound keeps every hit within a check
+@lru_cache(maxsize=128)
+def _mode_vector(word: OscWord, shift: int, window: int, t: int) -> tuple[int, ...]:
+    """(⟨d+shift| word |d⟩)_d over the window, mod P at the residue t."""
     vals = []
-    for d in range(window + 1):
-        if not (0 <= d + shift <= window):
-            continue
-        d2, coeff = apply_word_to_level(word, d, t0=t0)
-        vals.append(coeff if d2 == d + shift else Fraction(0))
+    for d in range(max(0, -shift), window + 1 - max(0, shift)):
+        d2, coeff = apply_word_to_level(word, d, t)
+        vals.append(coeff if d2 == d + shift else 0)
     return tuple(vals)
 
 
 def multimode_sum_is_zero(
-    terms: Iterable[tuple[Fraction, ModeWords]],
-    nmodes: int,
-    window: int,
-    t0: Fraction,
+    terms: Iterable[tuple[int, ModeWords]], window: int, t: int
 ) -> bool:
-    """Exact zero test for sum_k c_k * (tensor of mode words) on the window.
+    """Zero test mod P for sum_k c_k * (tensor of mode words) on the window.
 
-    Equivalent to comparing truncated matrices entrywise for all states
-    with every mode level (in and out) at most `window`, but organised
-    by the tensor factorisation: terms are grouped by their per-mode
-    level shifts, then reduced mode by mode against an exact row basis,
-    so the product state space is never enumerated.  A window below 1
-    would compare at most the vacuum, so it is refused.
+    The coefficients c_k and t are residues mod P.  Equivalent to
+    comparing truncated matrices entrywise for all states with every
+    mode level (in and out) at most `window`, but organised by the
+    tensor factorisation: terms are grouped by their per-mode level
+    shifts, then reduced mode by mode against a row basis over GF(P),
+    so the product state space is never enumerated.  Every term must
+    carry the same number of mode words.  A window below 1 would
+    compare at most the vacuum, so it is refused.
     """
     if window < 1:
         raise ValueError(
             f"safe window {window} leaves no truncation-free level to compare;"
             " need a Fock dimension of at least 4"
         )
-    groups: dict[tuple[int, ...], list[tuple[Fraction, ModeWords]]] = {}
+    terms = list(terms)
+    if len({len(words) for _, words in terms}) > 1:
+        raise ValueError("terms carry different numbers of mode words")
+    groups: dict[tuple[int, ...], list[tuple[int, ModeWords]]] = {}
     for coeff, words in terms:
-        if not coeff:
-            continue
-        shifts = tuple(word_imbalance(w) for w in words)
-        groups.setdefault(shifts, []).append((coeff, words))
+        if coeff := coeff % P:
+            shifts = tuple(word_imbalance(w) for w in words)
+            groups.setdefault(shifts, []).append((coeff, words))
 
     for shifts, group in groups.items():
         if any(abs(s) > window for s in shifts):
             continue  # no representable matrix elements on the window
         vectors = [
-            tuple(
-                _mode_vector(words[m], shifts[m], window, t0)
-                for m in range(nmodes)
-            )
+            tuple(_mode_vector(w, s, window, t) for w, s in zip(words, shifts))
             for _, words in group
         ]
-        coeffs = [c for c, _ in group]
-        if not _tensor_zero(coeffs, vectors, 0, nmodes):
+        if not _tensor_zero([c for c, _ in group], vectors, 0):
             return False
     return True
 
 
 def _tensor_zero(
-    coeffs: list[Fraction],
-    vectors: list[tuple[tuple[Fraction, ...], ...]],
-    mode: int,
-    nmodes: int,
+    coeffs: list[int], vectors: list[tuple[tuple[int, ...], ...]], mode: int
 ) -> bool:
     live = [k for k, c in enumerate(coeffs) if c]
     if not live:
         return True
-    if mode == nmodes:
-        return sum(coeffs[k] for k in live) == 0
-    width = len(vectors[live[0]][mode])
-    if width == 0:
-        return True
-    # Express each term's mode vector over an exact triangular basis:
-    # row_k = sum_b alpha[k][b] * basis[b].  The tensor sum vanishes iff
-    # it vanishes for every basis row separately.
-    basis: list[list[Fraction]] = []
-    alphas: dict[int, list[Fraction]] = {}
+    if mode == len(vectors[live[0]]):
+        return sum(coeffs[k] for k in live) % P == 0
+    # Express each term's mode vector over a triangular basis of rows
+    # with unit pivots: row_k = sum_b alpha[k][b] * basis[b].  The tensor
+    # sum vanishes iff it vanishes for every basis row separately.
+    basis: list[tuple[int, tuple[int, ...]]] = []
+    alphas: dict[int, list[int]] = {}
     for k in live:
-        row = list(vectors[k][mode])
-        alpha = [Fraction(0)] * len(basis)
-        for bi, brow in enumerate(basis):
-            piv = next(i for i, x in enumerate(brow) if x)
-            if row[piv]:
-                f = row[piv] / brow[piv]
-                alpha[bi] = f
-                for i in range(width):
-                    row[i] -= f * brow[i]
-        if any(row):
-            basis.append(row)
-            alpha.append(Fraction(1))
+        row = vectors[k][mode]
+        alpha = []
+        for piv, brow in basis:
+            f = row[piv]
+            alpha.append(f)
+            if f:
+                row = tuple((x - f * y) % P for x, y in zip(row, brow))
+        piv = next((i for i, x in enumerate(row) if x), None)
+        if piv is not None:
+            inv = pow(row[piv], -1, P)
+            basis.append((piv, tuple(x * inv % P for x in row)))
+            alpha.append(row[piv])
         alphas[k] = alpha
     for bi in range(len(basis)):
-        sub = [Fraction(0)] * len(coeffs)
+        sub = [0] * len(coeffs)
         for k in live:
             ak = alphas[k]
             if bi < len(ak) and ak[bi]:
-                sub[k] = coeffs[k] * ak[bi]
-        if not _tensor_zero(sub, vectors, mode + 1, nmodes):
+                sub[k] = coeffs[k] * ak[bi] % P
+        if not _tensor_zero(sub, vectors, mode + 1):
             return False
     return True

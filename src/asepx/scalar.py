@@ -11,6 +11,10 @@ nonzero; equality of canonical forms is structural equality.
 The variable t stays symbolic throughout.  All other parameters (q, z,
 x, y) are substituted as exact Fractions before they reach this layer,
 so no multivariate machinery is needed.
+
+The one modular layer: `P` is the prime 2**61 - 1, `residue` reduces a
+rational into GF(P) and `Poly.residue_at` evaluates a polynomial there.
+The point-evaluated identity checks run on these residues.
 """
 
 from __future__ import annotations
@@ -164,6 +168,13 @@ class Poly:
             acc = acc * t0 + c
         return acc
 
+    def residue_at(self, t: int) -> int:
+        """The value mod P at the residue t."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * t + residue(c)) % P
+        return acc
+
     # -- encoding --------------------------------------------------------
     def to_json(self) -> list[str]:
         """Coefficients as "num/den" strings, lowest degree first."""
@@ -202,6 +213,17 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
+
+#: the prime of the modular layer, 2**61 - 1
+P = (1 << 61) - 1
+
+
+def residue(c: Union[int, Fraction]) -> int:
+    """c mod P, i.e. its numerator times the inverse of its denominator.
+
+    Raises ValueError when P divides the denominator.
+    """
+    return c.numerator * pow(c.denominator, -1, P) % P
 
 
 def content(polys: Iterable[Poly]) -> Fraction:
@@ -352,7 +374,9 @@ RF_ZERO = RatFunc(P_ZERO)
 RF_ONE = RatFunc(P_ONE)
 
 
-#: numerator/denominator magnitude bound for random evaluation points
+#: numerator/denominator magnitude bound for random evaluation points;
+#: RANDOM_POINT_BOUND**2 < P, so `residue` is injective on these points,
+#: and a difference x - t*y of three of them is 0 mod P only when it is 0
 RANDOM_POINT_BOUND = 10**6
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from asepx.asep_core import Multiplicity, SectorBasis
 from asepx.mlq import SectorVector, iter_mlqs
+from asepx.oscillator import word_imbalance
 from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc
 
 
@@ -37,6 +38,89 @@ def fock_action(w, d: int, dim=None) -> tuple[int, Poly]:
             if dim is not None and d >= dim:
                 return 0, P_ZERO
     return d, coeff
+
+
+def exact_action(w, d: int, t0: Fraction) -> tuple[int, Fraction]:
+    """Oracle: act with a word on |d>, exact at t = t0; (0, 0) if annihilated."""
+    coeff = Fraction(1)
+    for letter in reversed(w):
+        if letter == "k":
+            coeff *= t0**d
+        elif letter == "-":
+            if d == 0:
+                return 0, Fraction(0)
+            coeff *= 1 - t0**d
+            d -= 1
+        else:
+            d += 1
+    return d, coeff
+
+
+def exact_mode_vector(word, shift: int, window: int, t0: Fraction) -> tuple:
+    """Oracle: (<d+shift| word |d>)_d over the window, exact at t = t0."""
+    vals = []
+    for d in range(max(0, -shift), window + 1 - max(0, shift)):
+        d2, coeff = exact_action(word, d, t0)
+        vals.append(coeff if d2 == d + shift else Fraction(0))
+    return tuple(vals)
+
+
+def exact_sum_is_zero(terms, window: int, t0: Fraction) -> bool:
+    """Oracle: the tensor-factorized window zero test in exact Fractions.
+
+    terms are (Fraction coefficient, multi-mode word) pairs; the sum is
+    zero iff every matrix element with all levels at most `window` is.
+    """
+    groups = {}
+    for coeff, words in terms:
+        if coeff:
+            shifts = tuple(word_imbalance(w) for w in words)
+            groups.setdefault(shifts, []).append((coeff, words))
+    for shifts, group in groups.items():
+        if any(abs(s) > window for s in shifts):
+            continue
+        vectors = [
+            tuple(exact_mode_vector(w, s, window, t0) for w, s in zip(words, shifts))
+            for _, words in group
+        ]
+        if not _exact_tensor_zero([c for c, _ in group], vectors, 0):
+            return False
+    return True
+
+
+def _exact_tensor_zero(coeffs, vectors, mode: int) -> bool:
+    live = [k for k, c in enumerate(coeffs) if c]
+    if not live:
+        return True
+    if mode == len(vectors[live[0]]):
+        return sum(coeffs[k] for k in live) == 0
+    width = len(vectors[live[0]][mode])
+    # row_k = sum_b alpha[k][b] * basis[b] over an exact triangular basis
+    basis = []
+    alphas = {}
+    for k in live:
+        row = list(vectors[k][mode])
+        alpha = [Fraction(0)] * len(basis)
+        for bi, brow in enumerate(basis):
+            piv = next(i for i, x in enumerate(brow) if x)
+            if row[piv]:
+                f = row[piv] / brow[piv]
+                alpha[bi] = f
+                for i in range(width):
+                    row[i] -= f * brow[i]
+        if any(row):
+            basis.append(row)
+            alpha.append(Fraction(1))
+        alphas[k] = alpha
+    for bi in range(len(basis)):
+        sub = [Fraction(0)] * len(coeffs)
+        for k in live:
+            ak = alphas[k]
+            if bi < len(ak) and ak[bi]:
+                sub[k] = coeffs[k] * ak[bi]
+        if not _exact_tensor_zero(sub, vectors, mode + 1):
+            return False
+    return True
 
 
 def sparse(words) -> tuple:

@@ -29,7 +29,7 @@ from asepx.algebra_checks import (
 from asepx.asep_core import Multiplicity, stationary_kernel
 from asepx.ctm import _x_eval_terms, build_X, check_recursion
 from asepx.oscillator import FockTruncation, multimode_sum_is_zero
-from asepx.scalar import Poly, RatFunc, random_point
+from asepx.scalar import P, Poly, RatFunc, random_point, residue
 
 from conftest import poly, rf, sparse
 
@@ -91,8 +91,8 @@ class TestRMatrix:
         z = Fraction(2, 9)
         t = Fraction(1, 5)
         # hopping against the order carries the spectral factor
-        assert r_value(z, t, 1, 0, 0, 1) == (1 - t) / (1 - t * z)
-        assert r_value(z, t, 0, 1, 1, 0) == (1 - t) * z / (1 - t * z)
+        assert r_value(z, residue(t), 1, 0, 0, 1) == residue((1 - t) / (1 - t * z))
+        assert r_value(z, residue(t), 0, 1, 1, 0) == residue((1 - t) * z / (1 - t * z))
 
 
 class TestYangBaxter:
@@ -101,10 +101,10 @@ class TestYangBaxter:
         for k in range(3):
             x = random_point(600 + 2 * k)
             y = random_point(601 + 2 * k)
-            assert check_ybe(n, x, y).passed
+            assert check_ybe(n, x, y, random_point(620 + k)).passed
 
     def test_degenerate_point_collapses_to_permutations(self):
-        assert check_ybe(2, Fraction(1), Fraction(1)).passed
+        assert check_ybe(2, Fraction(1), Fraction(1), Fraction(1, 5)).passed
 
 
 class TestQuasiPeriodicity:
@@ -147,8 +147,8 @@ class TestLOperator:
             v[k] = 1
             return tuple(v)
         for al, be, g, d in product(range(n + 1), repeat=4):
-            lhs = l_element(z, 1, g, e(d), al, e(be), t)
-            rhs = (1 - t * z) * r_value(z, t, g, d, al, be)
+            lhs = l_element(residue(z), 1, g, e(d), al, e(be), residue(t))
+            rhs = residue(1 - t * z) * r_value(z, residue(t), g, d, al, be) % P
             assert lhs == rhs
 
     def test_row_sums(self):
@@ -156,15 +156,15 @@ class TestLOperator:
         z, t = Fraction(3, 8), Fraction(1, 4)
         for al in range(n + 1):
             for a in compositions(l, n + 1):
-                total = Fraction(0)
+                total = 0
                 for be in range(n + 1):
                     b = list(a)
                     b[al] += 1
                     b[be] -= 1
                     if b[be] < 0:
                         continue
-                    total += l_element(z, l, be, tuple(b), al, a, t)
-                assert total == 1 - z * t**l
+                    total += l_element(residue(z), l, be, tuple(b), al, a, residue(t))
+                assert total % P == residue(1 - z * t**l)
 
     def test_constant_part_table(self):
         # at z = 0: diagonal t^{tail}, upper t^{tail}(1 - t^{m_b}), lower 0
@@ -177,12 +177,12 @@ class TestLOperator:
                 b[be] -= 1
                 if b[be] < 0:
                     continue
-                got = l_element(Fraction(0), l, be, tuple(b), al, a, t)
+                got = l_element(0, l, be, tuple(b), al, a, residue(t))
                 tail = t ** sum(a[be + 1:])
                 if al == be:
-                    assert got == tail
+                    assert got == residue(tail)
                 elif al < be:
-                    assert got == tail * (1 - t ** a[be])
+                    assert got == residue(tail * (1 - t ** a[be]))
                 else:
                     assert got == 0
 
@@ -268,19 +268,19 @@ class TestZF:
         #                           + (x - y) X_b(x) X_a(y)   for a < b
         n = 2
         x0, y0, t0 = Fraction(3, 4), Fraction(2, 7), Fraction(1, 6)
-        trunc = FockTruncation(8)
-        window = trunc.safe_window(2)
+        x, y, t = residue(x0), residue(y0), residue(t0)
+        window = FockTruncation(8).safe_window(2)
         def ev(alpha, zv):
-            return _x_eval_terms(build_X(n, alpha), zv, t0)
+            return _x_eval_terms(build_X(n, alpha), zv, t)
 
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
                 terms = (
-                    _products(x0 - t0 * y0, ev(a, y0), ev(b, x0))
-                    + _products(-(1 - t0) * x0, ev(a, x0), ev(b, y0))
-                    + _products(-(x0 - y0), ev(b, x0), ev(a, y0))
+                    _products(residue(x0 - t0 * y0), ev(a, y), ev(b, x))
+                    + _products(-residue((1 - t0) * x0), ev(a, x), ev(b, y))
+                    + _products(-residue(x0 - y0), ev(b, x), ev(a, y))
                 )
-                assert multimode_sum_is_zero(terms, n * (n - 1) // 2, window, t0)
+                assert multimode_sum_is_zero(terms, window, t)
 
 
 class TestHat:
@@ -308,6 +308,22 @@ class TestMSTheorem:
         assert report.passed and report.trials == 40
 
 
+def test_cleared_coefficients_stay_below_p():
+    # the inputs of the window checks' coefficient bound N n 2^m in the
+    # algebra_checks docstring: M_n terms per layer operator, each with
+    # coefficient 1 and at most n - 1 a- letters; hat coefficients
+    # (1 - t) deg_z with deg_z <= n
+    for n, m_n in zip(range(1, 8), (1, 2, 5, 15, 52, 203, 877)):
+        ops = [build_X(n, alpha) for alpha in range(n + 1)]
+        assert max(len(x.terms) for x in ops) == m_n
+        for term in (t for x in ops for t in x.terms):
+            assert term.coeff == poly(1)
+            assert sum(w.count("-") for w in term.words) <= n - 1
+        for term in (t for h in hat_operators(n) for t in h.terms):
+            assert term.coeff in {poly(1, -1).scale(k) for k in range(1, n + 1)}
+        assert 4 * m_n**2 * n * 2 ** (2 * n - 1) < 2**38 < P
+
+
 class TestVerifyStationary:
     def test_four_site_sector(self):
         assert verify_stationary(Multiplicity((1, 2, 1))).passed
@@ -328,12 +344,12 @@ class TestFailureWitnesses:
 
         # a+ a- differs from the identity on the Fock space
         terms = [
-            (Fraction(1), (("+", "-"),)),
-            (Fraction(-1), ((),)),
+            (1, (("+", "-"),)),
+            (-1, ((),)),
         ]
-        t0 = Fraction(1, 3)
-        assert not multimode_sum_is_zero(terms, 1, 5, t0)
-        witness = _direct_witness(terms, 1, 5, t0)
+        t = residue(Fraction(1, 3))
+        assert not multimode_sum_is_zero(terms, 5, t)
+        witness = _direct_witness(terms, 5, t)
         assert witness is not None and witness["value"] != 0
 
     def test_witness_stays_inside_the_window(self):
@@ -342,20 +358,20 @@ class TestFailureWitnesses:
         # (a+)^2 takes every level of the window {0, 1} out of it, so only
         # k has a matrix element there
         terms = [
-            (Fraction(1), (("+", "+"),)),
-            (Fraction(1), (("k",),)),
+            (1, (("+", "+"),)),
+            (1, (("k",),)),
         ]
-        witness = _direct_witness(terms, 1, 1, Fraction(1, 3))
+        witness = _direct_witness(terms, 1, residue(Fraction(1, 3)))
         assert witness == {"in": (0,), "out": (0,), "value": 1}
 
     def test_zero_sum_accepted(self):
         # a+ a- equals 1 - k exactly
         terms = [
-            (Fraction(1), (("+", "-"),)),
-            (Fraction(-1), ((),)),
-            (Fraction(1), (("k",),)),
+            (1, (("+", "-"),)),
+            (-1, ((),)),
+            (1, (("k",),)),
         ]
-        assert multimode_sum_is_zero(terms, 1, 5, Fraction(1, 3))
+        assert multimode_sum_is_zero(terms, 5, residue(Fraction(1, 3)))
 
 
 class TestRunCheck:
@@ -422,6 +438,14 @@ class TestRunCheck:
         monkeypatch.setattr(checks, "r_element", _swap_doubled_r(checks.r_element))
         assert not run_check("rtt", n=n, fock_dim=10, trials=2).passed
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_swap_doubled_r_matrix_fails_ybe(self, monkeypatch, n):
+        import asepx.algebra_checks as checks
+
+        assert run_check("ybe", n=n, trials=2).passed
+        monkeypatch.setattr(checks, "r_element", _swap_doubled_r(checks.r_element))
+        assert not run_check("ybe", n=n, trials=2).passed
+
     def test_doubled_hat_term_fails_hat(self, monkeypatch):
         import asepx.algebra_checks as checks
 
@@ -440,54 +464,55 @@ class TestRunCheck:
         assert "degree_bound" in data and data["trials"] == 2
 
 
-# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded before
-# rtt, zf and hat shared one window harness; the mutated runs fail, so
-# their digests pin the witnesses a failing report carries
+# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded once
+# the point checks ran mod P (their notes say so, and witness values are
+# residues); the mutated runs fail, so their digests pin the witnesses a
+# failing report carries
 GOLDEN_REPORTS = {
     "rtt": (
         None,
         {"kind": "rtt", "n": 2, "trials": 2},
-        "e4ec0b3c0d594bf438a5efd4c340f81b61e1a298650a31162c09662aa02dcf7d",
+        "ce326b80adcea68e0b006145955ffa9fec552365e36f498a48dd07cdd0a5963a",
     ),
     "zf": (
         None,
         {"kind": "zf", "n": 2, "trials": 2},
-        "e25da23b8f4765ea876ed470cf38203acccf2d7ce9c036a7042c7e31d4a3958d",
+        "61f8d106d3d5975233de59c44be9ccaaa67498404d30aee70d04a11cab6803cd",
     ),
     "hat": (
         None,
         {"kind": "hat", "n": 2, "trials": 2},
-        "5ed7f286cc4995137a9506aab3c8142dc84628517f0325846ca4f715ced94ea0",
+        "5272806a8fd4fac0706749522d7555ce10a8d1c3144c551db207e380f219e435",
     ),
     "rll": (
         None,
         {"kind": "rll", "n": 2, "l": 1},
-        "8927919736e574970a2a0fa4086d4dcbf355257a1f92cac6e0b52034c46455f4",
+        "5dbd8086b91c3fb9e627e8af33e2cd185e3596a6d194b94d5171920b866eab9e",
     ),
     "lt-link": (
         None,
         {"kind": "lt-link", "n": 3, "l": 2},
-        "0b50dfbeb112503d2ee511d3394f5c39304e892614358022ac32151dc8ff8875",
+        "99745daf7d6a7dd326221d3d91910b3d030c065f5388545d8fef1529e54cbf72",
     ),
     "zf-doubled-r": (
         ("r_element", _doubled_r),
         {"kind": "zf", "n": 2, "trials": 2},
-        "15848a7208da558ac022328bb01e88e72dc398a4821af76ee795f37fd65f3920",
+        "1d63c6229736eedd6d31786bc57d152a4375108f920f00b9d93cfd04aef340ce",
     ),
     "rtt-swap-doubled-r": (
         ("r_element", _swap_doubled_r),
         {"kind": "rtt", "n": 2, "trials": 2},
-        "091fa6508ae1bcb1aed29df6a2efc97c676810f7cec52b8aea9adb1044639ba5",
+        "4cad5213cebeeba07ec38d836d2894861f536629e3f0fdc47b6078eec089315a",
     ),
     "rll-swap-doubled-r": (
         ("r_element", _swap_doubled_r),
         {"kind": "rll", "n": 2, "l": 1},
-        "6764a600713e833526beded61dcb6e01b48bd4d48160f35969da37deb78dde6f",
+        "4b1189bbfcd016921a5aedf04a02462fdaaccb5f7406cd7e6f5877a6afa606e8",
     ),
     "hat-doubled-term-1-0": (
         ("hat_operators", _doubled_hat_term(1, 0)),
         {"kind": "hat", "n": 2, "trials": 2},
-        "6c54f8a8f1f8f4e2d7bd397b06f4f097416938246f8d61379c87bb28234345fc",
+        "58cab14bfc7a1b717d96e52e1de93ff0a42758e26030f7166ccb2ff4836fb310",
     ),
 }
 

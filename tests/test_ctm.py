@@ -9,7 +9,6 @@ from asepx.asep_core import Multiplicity, SectorBasis, cyclic_shift, stationary_
 from asepx.ctm import (
     XOperator,
     XTerm,
-    _x_eval_terms,
     build_T,
     build_X,
     check_recursion,
@@ -149,6 +148,11 @@ def truncated_matrix(terms, nmodes, dim, t0=None):
     return {k: v for k, v in out.items() if v}
 
 
+def exact_terms(x, z0, t0):
+    """The operator's terms with exact coefficients at (z, t) = (z0, t0)."""
+    return [(t.coeff.eval(t0) * z0**t.zdeg, t.words) for t in x.terms]
+
+
 def recursion_by_composition(n, z0, t0, dim):
     """The rank recursion compared entrywise on the safe window, both sides
     built as explicit truncated matrices, the right one by composing the
@@ -161,7 +165,7 @@ def recursion_by_composition(n, z0, t0, dim):
         return {k: v for k, v in mat.items() if max(k[0] + k[1], default=0) <= window}
 
     for alpha in range(n + 1):
-        terms = _x_eval_terms(ctm.build_X(n, alpha), z0, t0)
+        terms = exact_terms(ctm.build_X(n, alpha), z0, t0)
         lhs = truncated_matrix(terms, nmodes, dim, t0)
         rhs = {}
         for i in range(n):
@@ -173,7 +177,7 @@ def recursion_by_composition(n, z0, t0, dim):
             tm = truncated_matrix(
                 [(z0**tentry.zdeg, tentry.words + rest)], nmodes, dim, t0)
             shifted = [(c, ((),) * (n - 1) + words)
-                       for c, words in _x_eval_terms(ctm.build_X(n - 1, i), z0, t0)]
+                       for c, words in exact_terms(ctm.build_X(n - 1, i), z0, t0)]
             by_col = {}
             for (row, mid), c2 in truncated_matrix(shifted, nmodes, dim, t0).items():
                 by_col.setdefault(mid, []).append((row, c2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asepx.oscillator import (
     AMINUS,
@@ -10,8 +11,11 @@ from asepx.oscillator import (
     DivergentTraceError,
     FockTruncation,
     K,
+    LETTERS,
     UnbalancedWordError,
+    _mode_vector,
     apply_word_to_level,
+    multimode_sum_is_zero,
     normal_order,
     s_element,
     s_weight,
@@ -20,9 +24,17 @@ from asepx.oscillator import (
     word_imbalance,
     word_to_str,
 )
-from asepx.scalar import Poly, RatFunc
+from asepx.scalar import RANDOM_POINT_BOUND, Poly, RatFunc, residue
 
-from conftest import fock_action, one_minus_t_pow, poly, rf
+from conftest import (
+    exact_action,
+    exact_mode_vector,
+    exact_sum_is_zero,
+    fock_action,
+    one_minus_t_pow,
+    poly,
+    rf,
+)
 
 
 def word_matrix(w, trunc):
@@ -42,7 +54,7 @@ def trace_truncated(w, q0, t0, dim):
     p_count = sum(1 for c in w if c == APLUS)
     total = Fraction(0)
     for d in range(max(dim - p_count, 0)):
-        d2, coeff = apply_word_to_level(w, d, t0=t0)
+        d2, coeff = exact_action(w, d, t0)
         if d2 == d and coeff:
             total += q0**d * coeff
     return total
@@ -351,8 +363,82 @@ class TestFockTruncation:
             w = tuple(rng.choice("+-k") for _ in range(rng.randint(0, 6)))
             for d in range(6):
                 d2, c = fock_action(w, d)
-                assert apply_word_to_level(w, d, t0) == (d2, c.eval(t0))
+                assert apply_word_to_level(w, d, residue(t0)) == (d2, residue(c.eval(t0)))
 
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):
             FockTruncation(1)
+
+
+_words = st.lists(st.sampled_from(LETTERS), max_size=5).map(tuple)
+_points = st.builds(
+    Fraction,
+    st.integers(-RANDOM_POINT_BOUND, RANDOM_POINT_BOUND).filter(bool),
+    st.integers(1, RANDOM_POINT_BOUND),
+)
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _normal_expansion(coeff, words, t0):
+    """coeff * words expanded into normal monomials per mode, exact at t0."""
+    out = [(coeff, ())]
+    for w in words:
+        parts = [
+            ((APLUS,) * p + (K,) * e + (AMINUS,) * m, c.eval(t0))
+            for (p, e, m), c in normal_order(w).terms.items()
+        ]
+        out = [(c * c2, ws + (w2,)) for c, ws in out for w2, c2 in parts]
+    return out
+
+
+class TestResidueZeroTest:
+    """The residue path mod P against the exact Fraction oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_words, st.integers(1, 6), _points)
+    def test_mode_vector_is_the_residue_of_the_exact_one(self, w, window, t0):
+        shift = word_imbalance(w)
+        t = residue(t0)
+        for d in range(window + 1):
+            d2, c = exact_action(w, d, t0)
+            assert apply_word_to_level(w, d, t) == (d2, residue(c))
+        if abs(shift) <= window:
+            exact = exact_mode_vector(w, shift, window, t0)
+            assert _mode_vector(w, shift, window, t) == tuple(map(residue, exact))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda nmodes: st.lists(
+                st.tuples(_coeffs, st.lists(_words, min_size=nmodes, max_size=nmodes)
+                          .map(tuple)),
+                min_size=1, max_size=4,
+            )
+        ),
+        st.sampled_from(["random", "zero", "perturbed"]),
+        st.integers(1, 4),
+        _points,
+    )
+    def test_zero_test_agrees_with_the_exact_oracle(self, terms, kind, window, t0):
+        # "zero" subtracts the normal-ordered expansion of the terms, an
+        # exact operator identity; "perturbed" then drops one monomial
+        if kind != "random":
+            expanded = [x for c, ws in terms for x in _normal_expansion(-c, ws, t0)]
+            terms = terms + expanded[: len(expanded) - (kind == "perturbed")]
+        exact = exact_sum_is_zero(terms, window, t0)
+        if kind == "zero":
+            assert exact
+        mod_p = [(residue(c), ws) for c, ws in terms]
+        assert multimode_sum_is_zero(mod_p, window, residue(t0)) == exact
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(1, ((K,), (APLUS,))), (1, ((K,),))],
+            [(1, ((K,),)), (1, ((K,), (APLUS,)))],
+        ],
+        ids=["fewer-words", "more-words"],
+    )
+    def test_terms_of_unequal_mode_count_are_rejected(self, terms):
+        with pytest.raises(ValueError):
+            multimode_sum_is_zero(terms, 3, residue(Fraction(1, 3)))

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from asepx.scalar import (
+    P,
     P_ONE,
+    RANDOM_POINT_BOUND,
     PoleError,
     Poly,
     RatFunc,
     poly_gcd,
     random_point,
+    residue,
 )
 
 from conftest import one_minus_t_pow, poly, rf
@@ -136,6 +139,16 @@ class TestRandomPoint:
             assert v not in (0, 1, -1)
             assert abs(v.numerator) <= 10**6 and v.denominator <= 10**6
 
+    def test_reduction_mod_p_is_injective(self):
+        # a/b = c/d mod P means P | ad - bc, and |ad - bc| <= 2 B^2; the
+        # numerator of x - t y is at most 2 B^3, so it is 0 mod P only if 0
+        assert RANDOM_POINT_BOUND**2 < P
+        assert 2 * RANDOM_POINT_BOUND**3 < P
+        points = {random_point(seed) for seed in range(1, 1001)}
+        assert len({residue(v) for v in points}) == len(points)
+        for v in points:
+            assert residue(v) * v.denominator % P == v.numerator % P
+
     def test_respects_avoid_set(self):
         first = random_point(42)
         again = random_point(42, avoid={first})
@@ -196,6 +209,8 @@ class TestScalarProperties:
     def test_eval_is_a_ring_homomorphism(self, a, b, c, d, t0):
         assert (a + b).eval(t0) == a.eval(t0) + b.eval(t0)
         assert (a * b).eval(t0) == a.eval(t0) * b.eval(t0)
+        # evaluation mod P is the residue of the exact value
+        assert (a * b).residue_at(residue(t0)) == residue((a * b).eval(t0))
         assume(d.eval(t0) != 0)
         f, g = RatFunc(a, d), RatFunc(b * c, d * d)
         assert (f + g).eval(t0) == f.eval(t0) + g.eval(t0)
