@@ -72,7 +72,7 @@ from .oscillator import (
     normal_order,
     s_element,
 )
-from .scalar import P, Poly, RatFunc, RF_ONE, RF_ZERO, random_point, residue
+from .scalar import P, Poly, RatFunc, RF_ONE, RF_ZERO, random_point, residue, signed_residue
 
 
 @dataclass
@@ -299,7 +299,7 @@ def check_rll(
                 end, c2 = second.get(mid, (None, 0))
                 if r and c2:
                     acc[end] = (acc.get(end, 0) + r * c1 * c2) % P
-            bad = {k: v for k, v in acc.items() if v}
+            bad = {k: signed_residue(v) for k, v in acc.items() if v}
             if bad:
                 witnesses.append({"abij": (a, b, i, j), "state": start, "diff": bad})
     return CheckReport(
@@ -465,7 +465,7 @@ def _direct_witness(terms: Sequence[EvalTerm], window: int, t: int):
                 acc[key] = (acc.get(key, 0) + coeff * c) % P
         for key, v in acc.items():
             if v:
-                return {"in": state, "out": key, "value": v}
+                return {"in": state, "out": key, "value": signed_residue(v)}
     return None
 
 

@@ -7,10 +7,11 @@ as a truncated-matrix identity.  Stationary probabilities are traces of
 layer products at z = 1 over all modes, normal-ordered mode by mode with
 the rewrite rules of `oscillator.NormalForm` and evaluated in closed
 form at q = 1.  A trace is invariant under cyclic shift, so a sector's
-traces are taken once per cyclic orbit; each is summed over one common
-denominator, a product of factors (1 - t^j) known from the closed forms,
-and reduced once; the sector's traces are put over the lcm of their
-denominators, a `SectorVector`.
+traces are taken once per cyclic orbit.  Every denominator is a product
+of factors (1 - t^j) known in advance, carried as an exponent map
+{j: multiplicity}; a trace is lifted to a larger map by multiplying in
+the missing factors (no gcd, lcm or division), so a sector's traces
+share one map, the `SectorVector` denominator.
 
 Mode numbering: a term's words form one `ModeWords`, one word per mode.
 The rank-n operator's modes are the n-1 modes of the column operator T
@@ -24,14 +25,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .asep_core import Config, Multiplicity, SectorBasis, cyclic_orbit_reps
 from .mlq import SectorVector
 from .oscillator import (
     AMINUS,
     APLUS,
-    DivergentTraceError,
     FockTruncation,
     K,
     ModeWords,
@@ -39,7 +40,7 @@ from .oscillator import (
     multimode_sum_is_zero,
     trace_pem,
 )
-from .scalar import P, P_ONE, P_ZERO, Poly, RatFunc, one_minus_qtk, residue
+from .scalar import P, P_ONE, P_ZERO, Poly, qt_product, residue
 
 # a term with its coefficient as a residue mod P
 EvalTerm = tuple[int, ModeWords]
@@ -174,53 +175,45 @@ def _balanced_terms(sigma: Config) -> dict[tuple[PEM, ...], Poly]:
     return partial
 
 
-def mp_trace(sigma: Config) -> RatFunc:
+def _over_common_map(parts: dict) -> tuple[dict, Counter]:
+    """{key: (numerator, exponent map)} lifted to one map, each factor (1 - t^j)
+    at its largest multiplicity: a numerator gains the factors its map lacks."""
+    common = reduce(or_, (exps for _, exps in parts.values()), Counter())
+    return {k: num * qt_product(1, common - exps) for k, (num, exps) in parts.items()}, common
+
+
+def mp_trace(sigma: Config) -> tuple[Poly, Counter]:
     """Unnormalized stationary probability tr(X_{s_1} ... X_{s_L}) at q = 1, z = 1.
 
-    The trace of each balanced monomial of the layer product factorizes
-    over the modes into closed forms `trace_pem(p, e, 1)`, whose
-    denominators divide prod_{k=0..p} (1 - t^{e+k}).  The monomials are
-    summed over one common denominator D = prod_j (1 - t^j)^{n_j}, n_j
-    the largest multiplicity of factor j over the monomials, and the sum
-    is reduced once.
+    Returns (numerator, exponent map of the denominator).  The trace of
+    each balanced monomial of the layer product is a product over the
+    modes of closed forms `trace_pem(p, e, 1)`, each over prod_{k=0..p}
+    (1 - t^{e+k}); the monomials are summed over one map.
     """
-    one = Fraction(1)
-    by_den: dict[Poly, Poly] = {}
-    need: Counter[int] = Counter()
-    for key, coeff in _balanced_terms(sigma).items():
-        num, den, formal = coeff, P_ONE, Counter()
+    by_ranges: dict[tuple[tuple[int, int], ...], Poly] = {}
+    for key, num in _balanced_terms(sigma).items():
         for (p, e, m) in key:
             if p != m:
                 raise AssertionError("unbalanced key escaped pruning")
-            if e == 0:
-                raise DivergentTraceError(
-                    "divergent trace: non-basic sector or internal error"
-                )
-            tr = trace_pem(p, e, one)
-            num, den = num * tr.num, den * tr.den
-            formal.update(range(e, e + p + 1))
-        by_den[den] = by_den.get(den, P_ZERO) + num
-        need |= formal
-    common = P_ONE
-    for j, c in need.items():
-        common = common * one_minus_qtk(one, j) ** c
-    total = P_ZERO
-    for den, num in by_den.items():
-        cofactor, rem = common.divmod(den)
-        if rem:
-            raise AssertionError("trace denominator does not divide the common one")
-        total = total + num * cofactor
-    return RatFunc(total, common)
+            num = num * trace_pem(p, e, 1)
+        ranges = tuple(sorted((e, p) for p, e, _ in key))
+        by_ranges[ranges] = by_ranges.get(ranges, P_ZERO) + num
+    nums, exps = _over_common_map({
+        ranges: (num, Counter(k for e, p in ranges for k in range(e, e + p + 1)))
+        for ranges, num in by_ranges.items()
+    })
+    return sum(nums.values(), P_ZERO), exps
 
 
 def mp_stationary(m: Multiplicity) -> SectorVector:
-    """Matrix-product stationary vector over one denominator; one trace per orbit."""
+    """Matrix-product stationary vector over one sector-wide exponent map; one trace per orbit."""
     if not m.is_basic:
         raise ValueError("sector must be basic")
     basis = SectorBasis(m)
     rep_of = cyclic_orbit_reps(basis.configs)
     traces = {rep: mp_trace(rep) for rep in sorted(set(rep_of.values()))}
-    return SectorVector.over_lcm(basis, {c: traces[rep_of[c]] for c in basis.configs})
+    nums, exps = _over_common_map(traces)
+    return SectorVector(basis, {c: nums[rep_of[c]] for c in basis.configs}, qt_product(1, exps))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from operator import mul
 from typing import Iterator, Optional
 
 from .asep_core import Config, Multiplicity, SectorBasis, canonicalize_values
-from .scalar import P_ONE, Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk, poly_lcm
+from .scalar import P_ONE, Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk, qt_product
 
 Row = tuple[int, ...]
 
@@ -76,12 +75,6 @@ class SectorVector:
     basis: SectorBasis
     nums: dict[Config, Poly]
     den: Poly = P_ONE
-
-    @classmethod
-    def over_lcm(cls, basis: SectorBasis, values: dict[Config, RatFunc]) -> "SectorVector":
-        """Rational-function values put over the lcm of their denominators."""
-        den = reduce(poly_lcm, {v.den for v in values.values()}, P_ONE)
-        return cls(basis, {c: v.num * (den // v.den) for c, v in values.items()}, den)
 
     def canonical(self) -> dict[Config, Poly]:
         return canonicalize_values(self.basis, self.nums)
@@ -187,7 +180,7 @@ def m_element(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> RatFunc:
 
 def pairing_denominator(qeff: Fraction, li: int, lj: int) -> Poly:
     """D = prod_{k=lj-li+1}^{lj} (1 - qeff t^k), common to every pairing of li into lj balls."""
-    return reduce(mul, (one_minus_qtk(qeff, k) for k in range(lj - li + 1, lj + 1)), P_ONE)
+    return qt_product(qeff, dict.fromkeys(range(lj - li + 1, lj + 1), 1))
 
 
 @lru_cache(maxsize=None)

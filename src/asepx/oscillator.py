@@ -43,6 +43,7 @@ from .scalar import (
     RatFunc,
     RF_ZERO,
     one_minus_qtk,
+    qt_product,
 )
 
 APLUS = "+"
@@ -186,32 +187,33 @@ def _product_coeffs(p: int) -> list[Poly]:
 
 
 @lru_cache(maxsize=None)
-def trace_pem(p: int, e: int, q: Fraction) -> RatFunc:
-    """tr(q^h (a+)^p k^e (a-)^p) in closed form.
+def trace_pem(p: int, e: int, q: Fraction) -> Poly:
+    """tr(q^h (a+)^p k^e (a-)^p) in closed form, as its numerator over the
+    formal denominator prod_{k=0..p} (1 - q t^{e+k}); nothing is reduced.
 
     Summing d = p + s gives q^p * sum_k c_k(t) / (1 - q t^{e+k}) where
     prod_{j=1..p}(1 - t^j x) = sum_k c_k(t) x^k.
     """
-    total = RF_ZERO
+    if not one_minus_qtk(q, e):
+        raise DivergentTraceError(
+            f"divergent trace: geometric ratio q*t^{e} = 1 at q = {q}"
+        )
     qp = q**p
+    total = P_ZERO
     for k, c in enumerate(_product_coeffs(p)):
-        if c.is_zero():
-            continue
-        den = one_minus_qtk(q, e + k)
-        if den.is_zero():
-            raise DivergentTraceError(
-                f"divergent trace: geometric ratio q*t^{e + k} = 1 at q = {q}"
-            )
-        total = total + RatFunc(c.scale(qp), den)
+        others = {e + j: 1 for j in range(p + 1) if j != k}
+        total = total + c.scale(qp) * qt_product(q, others)
     return total
 
 
 def trace_qh(w: Union[OscWord, str, NormalForm], q: Fraction) -> RatFunc:
     """Exact tr(q^h . w) over the Fock space as a rational function in t.
 
-    Raises UnbalancedWordError when the word does not conserve the
-    level, and DivergentTraceError when some required geometric series
-    fails to converge (only possible at q = 1 with a k-free term).
+    Sums the `trace_pem` numerators of the normal-ordered monomials,
+    each over its formal denominator.  Raises UnbalancedWordError when
+    the word does not conserve the level, and DivergentTraceError when
+    some required geometric series fails to converge (only possible at
+    q = 1 with a k-free term).
     """
     nf = w if isinstance(w, NormalForm) else normal_order(w)
     delta = nf.imbalance()
@@ -219,7 +221,8 @@ def trace_qh(w: Union[OscWord, str, NormalForm], q: Fraction) -> RatFunc:
         raise UnbalancedWordError("unbalanced word")
     total = RF_ZERO
     for (p, e, m), c in nf.terms.items():
-        total = total + RatFunc(c) * trace_pem(p, e, q)
+        formal = dict.fromkeys(range(e, e + p + 1), 1)
+        total = total + RatFunc(c * trace_pem(p, e, q), qt_product(q, formal))
     return total
 
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Iterable, Mapping, Sequence, Union
 
 _ZERO = 0
 
@@ -226,6 +228,11 @@ def residue(c: Union[int, Fraction]) -> int:
     return c.numerator * pow(c.denominator, -1, P) % P
 
 
+def signed_residue(v: int) -> int:
+    """The residue v as the integer of least absolute value: -1 reads -1."""
+    return v - P if v > P // 2 else v
+
+
 def content(polys: Iterable[Poly]) -> Fraction:
     """Positive gcd of the coefficient numerators over the lcm of the denominators."""
     cs = [c for p in polys for c in p.coeffs]
@@ -251,18 +258,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return P_ZERO
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def one_minus_qtk(q: Fraction, k: int) -> Poly:
     """The polynomial 1 - q*t**k (a plain scalar 1-q when k == 0)."""
     if k == 0:
         return Poly((1 - q,))
     return Poly((1,) + (0,) * (k - 1) + (-q,))
+
+
+@lru_cache(maxsize=256)  # the same few powers recur in every lift of a sector's traces
+def _qt_power(q: Fraction, k: int, c: int) -> Poly:
+    return one_minus_qtk(q, k) ** c
+
+
+def qt_product(q: Fraction, exps: Mapping[int, int]) -> Poly:
+    """prod_k (1 - q t^k)^exps[k]: the denominator of exponent map {k: multiplicity}."""
+    return reduce(mul, (_qt_power(q, k, c) for k, c in exps.items()), P_ONE)
 
 
 class RatFunc:

@@ -5,7 +5,7 @@ import pytest
 from asepx.asep_core import Multiplicity, SectorBasis
 from asepx.mlq import SectorVector, iter_mlqs
 from asepx.oscillator import word_imbalance
-from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc
+from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc, poly_gcd
 
 
 def poly(*coeffs) -> Poly:
@@ -169,7 +169,11 @@ def mlq_enumerate_direct(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVe
     for rec in iter_mlqs(m, q):
         cur = values.get(rec.config)
         values[rec.config] = rec.weight if cur is None else cur + rec.weight
-    return SectorVector.over_lcm(SectorBasis(m), values)
+    den = P_ONE  # the lcm of the denominators
+    for v in values.values():
+        den = den * v.den // poly_gcd(den, v.den)
+    nums = {c: v.num * (den // v.den) for c, v in values.items()}
+    return SectorVector(SectorBasis(m), nums, den)
 
 
 @pytest.fixture

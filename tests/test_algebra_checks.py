@@ -364,6 +364,14 @@ class TestFailureWitnesses:
         witness = _direct_witness(terms, 1, residue(Fraction(1, 3)))
         assert witness == {"in": (0,), "out": (0,), "value": 1}
 
+    def test_witness_value_is_signed(self):
+        from asepx.algebra_checks import _direct_witness
+
+        # a+ a- - 1 has the element -1 at the vacuum
+        terms = [(1, (("+", "-"),)), (-1, ((),))]
+        witness = _direct_witness(terms, 5, residue(Fraction(1, 3)))
+        assert witness == {"in": (0,), "out": (0,), "value": -1}
+
     def test_zero_sum_accepted(self):
         # a+ a- equals 1 - k exactly
         terms = [
@@ -466,8 +474,8 @@ class TestRunCheck:
 
 # sha256 of json.dumps(report.to_json(), sort_keys=True), recorded once
 # the point checks ran mod P (their notes say so, and witness values are
-# residues); the mutated runs fail, so their digests pin the witnesses a
-# failing report carries
+# signed residues, of least absolute value); the mutated runs fail, so
+# their digests pin the witnesses a failing report carries
 GOLDEN_REPORTS = {
     "rtt": (
         None,
@@ -497,22 +505,22 @@ GOLDEN_REPORTS = {
     "zf-doubled-r": (
         ("r_element", _doubled_r),
         {"kind": "zf", "n": 2, "trials": 2},
-        "1d63c6229736eedd6d31786bc57d152a4375108f920f00b9d93cfd04aef340ce",
+        "e64ba79796cbe536fae3db90875a91e96d6dca279745d4611c9c91411e436140",
     ),
     "rtt-swap-doubled-r": (
         ("r_element", _swap_doubled_r),
         {"kind": "rtt", "n": 2, "trials": 2},
-        "4cad5213cebeeba07ec38d836d2894861f536629e3f0fdc47b6078eec089315a",
+        "57b8274ae5ff12510adea5243eb8e5375e836a28c56ad5670a6262dc4cbdb02e",
     ),
     "rll-swap-doubled-r": (
         ("r_element", _swap_doubled_r),
         {"kind": "rll", "n": 2, "l": 1},
-        "4b1189bbfcd016921a5aedf04a02462fdaaccb5f7406cd7e6f5877a6afa606e8",
+        "32d016c46d932ba6360470a5f04430bc560be5f7a6ca99350b9a05bdb8b79d72",
     ),
     "hat-doubled-term-1-0": (
         ("hat_operators", _doubled_hat_term(1, 0)),
         {"kind": "hat", "n": 2, "trials": 2},
-        "58cab14bfc7a1b717d96e52e1de93ff0a42758e26030f7166ccb2ff4836fb310",
+        "d9535c58014ec3153ad9c909669b4d3cf38e100e9debf8a6aad477cb8fb5fc05",
     ),
 }
 

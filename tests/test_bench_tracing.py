@@ -1,12 +1,18 @@
-"""The names that the benchmark's per-layer tracing wraps must exist in asepx.
+"""The benchmark must keep working against the package.
 
-`bench/tracing.py` reports a name it cannot resolve as a metric of 0, so
-a rename or deletion in the package would otherwise pass unnoticed.  The
-tables are read from the file's source, without importing the harness.
+The names that the benchmark's per-layer tracing wraps must exist in
+asepx: `bench/tracing.py` reports a name it cannot resolve as a metric
+of 0, so a rename or deletion in the package would otherwise pass
+unnoticed.  The tables are read from the file's source, without
+importing the harness.  The benchmark's own self-tests
+(`bench/test_checks.py`), which also assert what the package caches,
+run in a subprocess.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +40,12 @@ def test_traced_name_resolves(module, attr):
         owner = getattr(owner, part)
     obj = owner.__dict__.get(name) if isinstance(owner, type) else getattr(owner, name)
     assert callable(obj)
+
+
+def test_benchmark_self_tests_pass():
+    bench = TRACING.parent
+    done = subprocess.run(
+        [sys.executable, str(bench / "test_checks.py")],
+        cwd=bench.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

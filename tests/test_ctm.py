@@ -1,11 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import mul
 
 import pytest
 
 import asepx.ctm as ctm
-from asepx.asep_core import Multiplicity, SectorBasis, cyclic_shift, stationary_kernel
+from asepx.asep_core import (
+    Multiplicity,
+    SectorBasis,
+    cyclic_orbit_reps,
+    cyclic_shift,
+    stationary_kernel,
+)
 from asepx.ctm import (
     XOperator,
     XTerm,
@@ -16,7 +25,7 @@ from asepx.ctm import (
     mp_trace,
 )
 from asepx.oscillator import DivergentTraceError, FockTruncation, trace_pem
-from asepx.scalar import Poly, RatFunc, random_point
+from asepx.scalar import Poly, RatFunc, qt_product, random_point
 
 from conftest import fock_action, one_minus_t_pow, poly, rf, sparse
 
@@ -234,16 +243,16 @@ class TestMpTrace:
         expected = rf(poly(1), one_minus_t_pow(1)) + rf(
             poly(1), one_minus_t_pow(2)
         )
-        assert mp_trace((0, 1, 2)) == expected
+        assert _mp_value((0, 1, 2)) == expected
 
     def test_hand_expansion_021(self):
         # tr(k) + tr(a+ a- k) = 1/(1-t) + (1/(1-t) - 1/(1-t^2))
         base = rf(poly(1), one_minus_t_pow(1))
         expected = base + base - rf(poly(1), one_minus_t_pow(2))
-        assert mp_trace((0, 2, 1)) == expected
+        assert _mp_value((0, 2, 1)) == expected
 
     def test_ratio_fixture(self):
-        ratio = mp_trace((0, 1, 2)) / mp_trace((0, 2, 1))
+        ratio = _mp_value((0, 1, 2)) / _mp_value((0, 2, 1))
         assert ratio == rf(poly(2, 1), poly(1, 2))
 
     def test_cyclicity(self):
@@ -256,11 +265,17 @@ class TestMpTrace:
             for _ in range(4):
                 rng.shuffle(symbols)
                 sigma = tuple(symbols)
-                assert mp_trace(sigma) == mp_trace(cyclic_shift(sigma))
+                assert _mp_value(sigma) == _mp_value(cyclic_shift(sigma))
 
     def test_divergence_guard_on_non_basic_input(self):
         with pytest.raises(DivergentTraceError):
             mp_trace((0, 2))
+
+
+def _mp_value(sigma):
+    """mp_trace's (numerator, exponent map) as one reduced rational function."""
+    num, exps = mp_trace(sigma)
+    return RatFunc(num, qt_product(1, exps))
 
 
 def _per_key_trace(sigma):
@@ -269,7 +284,8 @@ def _per_key_trace(sigma):
     for key, coeff in ctm._balanced_terms(sigma).items():
         value = RatFunc(coeff)
         for p, e, _ in key:
-            value = value * trace_pem(p, e, Fraction(1))
+            den = reduce(mul, (one_minus_t_pow(e + k) for k in range(p + 1)))
+            value = value * RatFunc(trace_pem(p, e, Fraction(1)), den)
         total = total + value
     return total
 
@@ -310,7 +326,36 @@ class TestOrbitReduction:
                    *SectorBasis(Multiplicity((2, 1, 1))).configs,
                    (0, 1, 2), (0, 2, 1)]
         for sigma in configs:
-            assert mp_trace(sigma) == _per_key_trace(sigma), sigma
+            assert _mp_value(sigma) == _per_key_trace(sigma), sigma
+
+    @pytest.mark.parametrize("counts", [(2, 1, 1, 1), (1, 1, 1, 1)])
+    def test_no_gcd_divmod_or_ratfunc_on_the_path(self, monkeypatch, counts):
+        import asepx.scalar as scalar
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        trace_pem.cache_clear()  # so the closed forms are built on this path
+        monkeypatch.setattr(scalar, "poly_gcd", counting("gcd", scalar.poly_gcd))
+        monkeypatch.setattr(Poly, "divmod", counting("divmod", Poly.divmod))
+        monkeypatch.setattr(RatFunc, "__init__", counting("ratfunc", RatFunc.__init__))
+        m = Multiplicity(counts)
+        vec = mp_stationary(m)
+        monkeypatch.undo()
+        assert calls == Counter()
+        # the denominator is the sector-wide prod_j (1 - t^j)^{n_j}, n_j the
+        # largest multiplicity of factor j over the balanced monomials
+        need = Counter()
+        for rep in set(cyclic_orbit_reps(vec.basis.configs).values()):
+            for key in ctm._balanced_terms(rep):
+                need |= Counter(j for p, e, _ in key for j in range(e, e + p + 1))
+        assert vec.den == reduce(mul, (one_minus_t_pow(j) ** c for j, c in need.items()))
+        assert vec.canonical() == stationary_kernel(m)
 
 
 def _expand(L, xi):

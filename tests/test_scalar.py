@@ -14,6 +14,7 @@ from asepx.scalar import (
     poly_gcd,
     random_point,
     residue,
+    signed_residue,
 )
 
 from conftest import one_minus_t_pow, poly, rf
@@ -148,6 +149,10 @@ class TestRandomPoint:
         assert len({residue(v) for v in points}) == len(points)
         for v in points:
             assert residue(v) * v.denominator % P == v.numerator % P
+
+    def test_signed_residue_has_least_absolute_value(self):
+        for v in (0, 1, -1, 7, -7, P // 2, -(P // 2)):
+            assert signed_residue(v % P) == v
 
     def test_respects_avoid_set(self):
         first = random_point(42)
