@@ -5,13 +5,16 @@ The layer operator for local state alpha is a finite sum of terms
 from a column operator T; `check_recursion` tests that recursion again
 as a truncated-matrix identity.  Stationary probabilities are traces of
 layer products at z = 1 over all modes, normal-ordered mode by mode with
-the rewrite rules of `oscillator.NormalForm` and evaluated in closed
-form at q = 1.  A trace is invariant under cyclic shift, so a sector's
-traces are taken once per cyclic orbit.  Every denominator is a product
-of factors (1 - t^j) known in advance, carried as an exponent map
-{j: multiplicity}; a trace is lifted to a larger map by multiplying in
-the missing factors (no gcd, lcm or division), so a sector's traces
-share one map, the `SectorVector` denominator.
+the rewrite rules of `oscillator.NormalForm` (each (monomial, word) once)
+and evaluated in closed form at q = 1.  The rules keep each mode's ladder
+imbalance, so a partial product is expanded only if the terms of the
+remaining sites can bring every mode back to balance.  A trace is
+invariant under cyclic shift, so a sector's traces are taken once per
+cyclic orbit.  Every denominator is a product of factors (1 - t^j)
+known in advance, carried as an exponent map {j: multiplicity}; a trace
+is lifted to a larger map by multiplying in the missing factors (no gcd,
+lcm or division), so a sector's traces share one map, the `SectorVector`
+denominator.
 
 Mode numbering: a term's words form one `ModeWords`, one word per mode.
 The rank-n operator's modes are the n-1 modes of the column operator T
@@ -26,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import or_
+from operator import add, or_, sub
 
 from .asep_core import Config, Multiplicity, SectorBasis, cyclic_orbit_reps
 from .mlq import SectorVector
@@ -37,8 +40,10 @@ from .oscillator import (
     K,
     ModeWords,
     NormalForm,
+    OscWord,
     multimode_sum_is_zero,
     trace_pem,
+    word_imbalance,
 )
 from .scalar import P, P_ONE, P_ZERO, Poly, qt_product, residue
 
@@ -126,44 +131,58 @@ def build_X(n: int, alpha: int) -> XOperator:
 PEM = tuple[int, int, int]
 
 
+@lru_cache(maxsize=None)
+def _mul_word(pem: PEM, word: OscWord) -> tuple[tuple[PEM, Poly], ...]:
+    """The monomial pem right-multiplied by word, normal-ordered: (monomial, coeff) items."""
+    return tuple(NormalForm({pem: P_ONE}).mul_word(word).terms.items())
+
+
+@lru_cache(maxsize=None)
+def _reachable(n: int, alphas: Config) -> frozenset[tuple[int, ...]]:
+    """Per-mode imbalance vectors that one term per site of X_{alphas} can sum to."""
+    if not alphas:
+        return frozenset({(0,) * (n * (n - 1) // 2)})
+    rest = _reachable(n, alphas[1:])
+    heads = {tuple(map(word_imbalance, term.words)) for term in build_X(n, alphas[0]).terms}
+    return frozenset(tuple(map(add, h, r)) for h in heads for r in rest)
+
+
 def _balanced_terms(sigma: Config) -> dict[tuple[PEM, ...], Poly]:
     """The layer product X_{s_1} ... X_{s_L} at z = 1 as {normal monomials: coeff}.
 
     Keys hold one normal monomial (p, e, m) per mode.  The product is
-    expanded site by site, each mode normal-ordered by
-    `NormalForm.mul_word`, pruning any partial product whose per-mode
-    ladder imbalance cannot return to zero, so only balanced monomials
+    expanded site by site, each mode normal-ordered by the memoized
+    `_mul_word`.  The rewrite rules keep each mode's ladder imbalance
+    p - m, so a (partial product, term) pair is dropped before any
+    normal ordering unless the terms of the remaining sites can cancel
+    its imbalance vector (`_reachable`); only balanced monomials
     (p == m in every mode) survive.
     """
     n = max(sigma)
     if n < 1:
         raise ValueError("configuration has no particles")
-    L = len(sigma)
     nmodes = n * (n - 1) // 2
-    ops = [build_X(n, alpha) for alpha in range(n + 1)]
+    ops = [[(term, tuple(map(word_imbalance, term.words))) for term in build_X(n, alpha).terms]
+           for alpha in range(n + 1)]
 
-    start: PEM = (0, 0, 0)
-    partial: dict[tuple[PEM, ...], Poly] = {(start,) * nmodes: P_ONE}
+    partial: dict[tuple[PEM, ...], Poly] = {((0, 0, 0),) * nmodes: P_ONE}
     for site, alpha in enumerate(sigma):
-        remaining = L - site - 1
+        cancel = _reachable(n, sigma[site + 1:])
         nxt: dict[tuple[PEM, ...], Poly] = {}
         for key, coeff in partial.items():
-            for term in ops[alpha].terms:
+            owed = [m - p for p, _, m in key]
+            for term, imbalance in ops[alpha]:
+                if tuple(map(sub, owed, imbalance)) not in cancel:
+                    continue
                 scaled = coeff if term.coeff == P_ONE else coeff * term.coeff
                 expansions: list[tuple[tuple[PEM, ...], Poly]] = [((), scaled)]
                 for pem, word in zip(key, term.words):
-                    if word:
-                        parts = NormalForm({pem: P_ONE}).mul_word(word).terms.items()
-                    else:
-                        parts = ((pem, P_ONE),)
+                    parts = _mul_word(pem, word) if word else ((pem, P_ONE),)
                     expansions = [
                         (kacc + (pem2,), cacc if c2 == P_ONE else cacc * c2)
                         for kacc, cacc in expansions
                         for pem2, c2 in parts
-                        if abs(pem2[0] - pem2[2]) <= remaining
                     ]
-                    if not expansions:
-                        break
                 for nkey, ncoeff in expansions:
                     cur = nxt.get(nkey)
                     new = ncoeff if cur is None else cur + ncoeff

@@ -183,7 +183,9 @@ def pairing_denominator(qeff: Fraction, li: int, lj: int) -> Poly:
     return qt_product(qeff, dict.fromkeys(range(lj - li + 1, lj + 1), 1))
 
 
-@lru_cache(maxsize=None)
+# keyed by q: one sector needs at most 1,225 entries up to L = 7 (3,920 at
+# L = 8), while each random q of the ms-theorem check adds entries never read again
+@lru_cache(maxsize=4096)
 def _pairing_images(qeff: Fraction, i: Row, j: Row) -> tuple[tuple[Row, Poly], ...]:
     """(image, numerator over `pairing_denominator`) for the row pair (i, j).
 

@@ -186,7 +186,9 @@ def _product_coeffs(p: int) -> list[Poly]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
+# keyed by q: one sector at q = 1 needs at most 9 entries up to L = 7, while
+# each random q of the ms-theorem check adds entries never read again
+@lru_cache(maxsize=1024)
 def trace_pem(p: int, e: int, q: Fraction) -> Poly:
     """tr(q^h (a+)^p k^e (a-)^p) in closed form, as its numerator over the
     formal denominator prod_{k=0..p} (1 - q t^{e+k}); nothing is reduced.

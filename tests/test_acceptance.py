@@ -175,6 +175,7 @@ def sector_sweep():
         for L in range(n + 1, 7):
             sectors.extend(basic_multiplicities(n, L))
     sectors.extend(basic_multiplicities(2, 7))
+    sectors.append(Multiplicity((1, 1, 1, 1, 1)))  # the first n = 4 sector
     start = time.monotonic()
     results = []
     for m in sectors:

@@ -28,7 +28,8 @@ from asepx.algebra_checks import (
 )
 from asepx.asep_core import Multiplicity, stationary_kernel
 from asepx.ctm import _x_eval_terms, build_X, check_recursion
-from asepx.oscillator import FockTruncation, multimode_sum_is_zero
+from asepx.mlq import _pairing_images
+from asepx.oscillator import FockTruncation, multimode_sum_is_zero, trace_pem
 from asepx.scalar import P, Poly, RatFunc, random_point, residue
 
 from conftest import poly, rf, sparse
@@ -306,6 +307,13 @@ class TestMSTheorem:
     def test_random_instances(self):
         report = check_ms_theorem(40, seed=5)
         assert report.passed and report.trials == 40
+
+    def test_q_keyed_caches_stay_bounded(self):
+        # each instance draws a fresh q, so what it caches is never read again
+        run_check("ms-theorem", trials=200, seed=2024)
+        for cached in (trace_pem, _pairing_images):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_cleared_coefficients_stay_below_p():

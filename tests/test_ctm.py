@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import mul
 
@@ -24,7 +24,14 @@ from asepx.ctm import (
     mp_stationary,
     mp_trace,
 )
-from asepx.oscillator import DivergentTraceError, FockTruncation, trace_pem
+from asepx.oscillator import (
+    DivergentTraceError,
+    FockTruncation,
+    NormalForm,
+    normal_order,
+    trace_pem,
+    word_imbalance,
+)
 from asepx.scalar import Poly, RatFunc, qt_product, random_point
 
 from conftest import fock_action, one_minus_t_pow, poly, rf, sparse
@@ -288,6 +295,86 @@ def _per_key_trace(sigma):
             value = value * RatFunc(trace_pem(p, e, Fraction(1)), den)
         total = total + value
     return total
+
+
+@cache
+def _normal_order(word):
+    return tuple(normal_order(word).terms.items())
+
+
+def _unpruned_balanced_terms(sigma):
+    """Oracle for `ctm._balanced_terms`: the whole layer product, one term per
+    site in every way, each mode's whole word normal-ordered by `normal_order`,
+    and the balanced keys kept.
+
+    A mode word whose a+ and a- counts differ has no balanced monomial (the
+    rewrite rules keep p - m; `test_shared_imbalance`), so the left half's
+    term choices are joined only with the right half's choices whose letter
+    counts cancel theirs.  Nothing is pruned by reachable sets.
+    """
+    n = max(sigma)
+
+    def choices(alphas):
+        by_imbalance = {}
+        for terms in product(*(build_X(n, a).terms for a in alphas)):
+            words = tuple(sum(ws, ()) for ws in zip(*(t.words for t in terms)))
+            coeff = reduce(mul, (t.coeff for t in terms))
+            by_imbalance.setdefault(tuple(map(word_imbalance, words)), []).append((words, coeff))
+        return by_imbalance
+
+    half = len(sigma) // 2
+    right = choices(sigma[half:])
+    out = {}
+    for imbalance, lefts in choices(sigma[:half]).items():
+        rights = right.get(tuple(-d for d in imbalance), [])
+        for (lwords, lcoeff), (rwords, rcoeff) in product(lefts, rights):
+            for parts in product(*(_normal_order(a + b) for a, b in zip(lwords, rwords))):
+                if all(p == m for (p, _, m), _ in parts):
+                    key = tuple(pem for pem, _ in parts)
+                    coeff = reduce(mul, (c for _, c in parts), lcoeff * rcoeff)
+                    out[key] = out.get(key, Poly()) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+class TestPrunedExpansion:
+    @pytest.mark.parametrize("counts", [(1, 1, 1, 1), (2, 1, 1), (2, 1, 1, 1)])
+    def test_matches_unpruned_expansion(self, counts):
+        for sigma in SectorBasis(Multiplicity(counts)).configs:
+            assert ctm._balanced_terms(sigma) == _unpruned_balanced_terms(sigma), sigma
+
+    def test_matches_unpruned_expansion_at_rank_four(self):
+        basis = SectorBasis(Multiplicity((1, 1, 1, 1, 1)))
+        for sigma in sorted(set(cyclic_orbit_reps(basis.configs).values())):
+            assert ctm._balanced_terms(sigma) == _unpruned_balanced_terms(sigma), sigma
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reachable_sets_are_sums_over_term_choices(self, n):
+        modes = range(n * (n - 1) // 2)
+        per_term = [[tuple(map(word_imbalance, t.words)) for t in build_X(n, a).terms]
+                    for a in range(n + 1)]
+        for length in range(4):
+            for alphas in product(range(n + 1), repeat=length):
+                sums = {tuple(sum(v[k] for v in choice) for k in modes)
+                        for choice in product(*(per_term[a] for a in alphas))}
+                assert ctm._reachable(n, alphas) == sums, alphas
+
+    def test_normal_orders_each_monomial_and_word_once(self, monkeypatch):
+        calls = []
+        mul_word = NormalForm.mul_word
+
+        def counting(nf, word):
+            calls.append((tuple(nf.terms), word))
+            return mul_word(nf, word)
+
+        for cached in vars(ctm).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        monkeypatch.setattr(NormalForm, "mul_word", counting)
+        m = Multiplicity((2, 1, 1, 1))
+        got = mp_stationary(m).canonical()
+        monkeypatch.undo()
+        assert calls and len(calls) == len(set(calls))
+        assert got == stationary_kernel(m)
 
 
 class TestOrbitReduction:

@@ -446,6 +446,13 @@ class TestMlqState:
         assert state.values is values
         assert len(built) == len(values) == len(state.nums) > 0
 
+    def test_one_sector_fits_the_image_cache(self):
+        # (3,1,3) needs the most images of the regression sectors, 1,225
+        _pairing_images.cache_clear()
+        mlq_state(Multiplicity((3, 1, 3)), Fraction(1))
+        info = _pairing_images.cache_info()
+        assert info.misses == info.currsize  # nothing was evicted
+
 
 class TestDirectEnumeration:
     @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)])
