@@ -29,7 +29,6 @@ from .mlq import (
 )
 from .oscillator import (
     FockTruncation,
-    NormalForm,
     normal_order,
     s_element,
     s_weight,

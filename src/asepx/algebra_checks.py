@@ -337,7 +337,7 @@ def build_calL(n: int) -> dict[tuple[int, int], Optional[ModeWords]]:
     return out
 
 
-def check_LtT(n: int, z0: Optional[Fraction] = None) -> CheckReport:
+def check_LtT(n: int) -> CheckReport:
     """Oscillator matrix equals the column operator up to the mode-n dressing.
 
     Entry (a, b) of the former must equal T(z)_{a, b+1} (a-_n)^[b=n]
@@ -374,7 +374,7 @@ def check_LtT(n: int, z0: Optional[Fraction] = None) -> CheckReport:
     return CheckReport(
         name="lt-link",
         passed=not witnesses,
-        params={"n": n, "z": z0 if z0 is not None else "symbolic"},
+        params={"n": n, "z": "symbolic"},
         witnesses=witnesses[:5],
         degree_bound={},
         notes="symbolic identity: z-degrees cancel entrywise, words match",
@@ -383,7 +383,7 @@ def check_LtT(n: int, z0: Optional[Fraction] = None) -> CheckReport:
 
 def _same_modewords(a: ModeWords, b: ModeWords) -> bool:
     return len(a) == len(b) and all(
-        normal_order(x).terms == normal_order(y).terms for x, y in zip(a, b)
+        normal_order(x) == normal_order(y) for x, y in zip(a, b)
     )
 
 

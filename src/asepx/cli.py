@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable
 
 from .algebra_checks import run_check
@@ -48,6 +49,10 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _emit_streamed(payload: dict, key: str, items: Iterable, fmt: str) -> None:
     """`_emit` of `payload` plus a last entry `key: list(items)`, one item at a time."""
+    # the first item is taken before anything is written: an error raised
+    # before it leaves stdout empty
+    items = iter(items)
+    items = chain(list(islice(items, 1)), items)
     write = sys.stdout.write
     if fmt == "json":
         head, tail = json.dumps({**payload, key: 0}, sort_keys=True, indent=2).split(

@@ -4,17 +4,17 @@ The layer operator for local state alpha is a finite sum of terms
 (z-degree, oscillator word per Fock mode), built by the rank recursion
 from a column operator T; `check_recursion` tests that recursion again
 as a truncated-matrix identity.  Stationary probabilities are traces of
-layer products at z = 1 over all modes, normal-ordered mode by mode with
-the rewrite rules of `oscillator.NormalForm` (each (monomial, word) once)
-and evaluated in closed form at q = 1.  The rules keep each mode's ladder
-imbalance, so a partial product is expanded only if the terms of the
-remaining sites can bring every mode back to balance.  A trace is
-invariant under cyclic shift, so a sector's traces are taken once per
-cyclic orbit.  Every denominator is a product of factors (1 - t^j)
+layer products at z = 1 over all modes, normal-ordered mode by mode by
+`oscillator.mul_word` (each (monomial, word) once) and summed in closed
+form at q = 1 by `oscillator.trace_sum`.  The rewrite rules keep each
+mode's ladder imbalance, so a partial product is expanded only if the
+terms of the remaining sites can bring every mode back to balance.  A
+trace is invariant under cyclic shift, so a sector's traces are taken
+once per cyclic orbit.  Every denominator is a product of factors (1 - t^j)
 known in advance, carried as an exponent map {j: multiplicity}; a trace
-is lifted to a larger map by multiplying in the missing factors (no gcd,
-lcm or division), so a sector's traces share one map, the `SectorVector`
-denominator.
+is lifted to a larger map by multiplying in the missing factors
+(`scalar.over_common_map`: no gcd, lcm or division), so a sector's
+traces share one map, the `SectorVector` denominator.
 
 Mode numbering: a term's words form one `ModeWords`, one word per mode.
 The rank-n operator's modes are the n-1 modes of the column operator T
@@ -28,8 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, or_, sub
+from functools import lru_cache
+from operator import add, sub
 
 from .asep_core import Config, Multiplicity, SectorBasis, cyclic_orbit_reps
 from .mlq import SectorVector
@@ -38,14 +38,15 @@ from .oscillator import (
     APLUS,
     FockTruncation,
     K,
+    PEM,
     ModeWords,
-    NormalForm,
     OscWord,
+    mul_word,
     multimode_sum_is_zero,
-    trace_pem,
+    trace_sum,
     word_imbalance,
 )
-from .scalar import P, P_ONE, P_ZERO, Poly, qt_product, residue
+from .scalar import P, P_ONE, Poly, over_common_map, qt_product, residue
 
 # a term with its coefficient as a residue mod P
 EvalTerm = tuple[int, ModeWords]
@@ -128,13 +129,11 @@ def build_X(n: int, alpha: int) -> XOperator:
 # ---------------------------------------------------------------------------
 # traces
 
-PEM = tuple[int, int, int]
-
 
 @lru_cache(maxsize=None)
 def _mul_word(pem: PEM, word: OscWord) -> tuple[tuple[PEM, Poly], ...]:
     """The monomial pem right-multiplied by word, normal-ordered: (monomial, coeff) items."""
-    return tuple(NormalForm({pem: P_ONE}).mul_word(word).terms.items())
+    return tuple(mul_word({pem: P_ONE}, word).items())
 
 
 @lru_cache(maxsize=None)
@@ -194,34 +193,13 @@ def _balanced_terms(sigma: Config) -> dict[tuple[PEM, ...], Poly]:
     return partial
 
 
-def _over_common_map(parts: dict) -> tuple[dict, Counter]:
-    """{key: (numerator, exponent map)} lifted to one map, each factor (1 - t^j)
-    at its largest multiplicity: a numerator gains the factors its map lacks."""
-    common = reduce(or_, (exps for _, exps in parts.values()), Counter())
-    return {k: num * qt_product(1, common - exps) for k, (num, exps) in parts.items()}, common
-
-
 def mp_trace(sigma: Config) -> tuple[Poly, Counter]:
     """Unnormalized stationary probability tr(X_{s_1} ... X_{s_L}) at q = 1, z = 1.
 
-    Returns (numerator, exponent map of the denominator).  The trace of
-    each balanced monomial of the layer product is a product over the
-    modes of closed forms `trace_pem(p, e, 1)`, each over prod_{k=0..p}
-    (1 - t^{e+k}); the monomials are summed over one map.
+    Returns (numerator, exponent map of the denominator): the
+    `oscillator.trace_sum` of the balanced monomials of the layer product.
     """
-    by_ranges: dict[tuple[tuple[int, int], ...], Poly] = {}
-    for key, num in _balanced_terms(sigma).items():
-        for (p, e, m) in key:
-            if p != m:
-                raise AssertionError("unbalanced key escaped pruning")
-            num = num * trace_pem(p, e, 1)
-        ranges = tuple(sorted((e, p) for p, e, _ in key))
-        by_ranges[ranges] = by_ranges.get(ranges, P_ZERO) + num
-    nums, exps = _over_common_map({
-        ranges: (num, Counter(k for e, p in ranges for k in range(e, e + p + 1)))
-        for ranges, num in by_ranges.items()
-    })
-    return sum(nums.values(), P_ZERO), exps
+    return trace_sum(_balanced_terms(sigma), 1)
 
 
 def mp_stationary(m: Multiplicity) -> SectorVector:
@@ -231,7 +209,7 @@ def mp_stationary(m: Multiplicity) -> SectorVector:
     basis = SectorBasis(m)
     rep_of = cyclic_orbit_reps(basis.configs)
     traces = {rep: mp_trace(rep) for rep in sorted(set(rep_of.values()))}
-    nums, exps = _over_common_map(traces)
+    nums, exps = over_common_map(1, traces)
     return SectorVector(basis, {c: nums[rep_of[c]] for c in basis.configs}, qt_product(1, exps))
 
 

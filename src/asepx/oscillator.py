@@ -8,16 +8,19 @@ and satisfy k a+- = t^{+-1} a+- k, a- a+ = 1 - t k, a+ a- = 1 - k.
 
 A word is a tuple of letters '+', '-', 'k' (leftmost letter acts last).
 Normal ordering rewrites any word into a sum of monomials
-(a+)^p k^e (a-)^m with polynomial coefficients in t, using the
-confluent, terminating rules
+(a+)^p k^e (a-)^m, a plain dict {(p, e, m): Poly coefficient in t},
+using the confluent, terminating rules of `mul_letter`
 
     a- a+  ->  1 - t k
     k  a+  ->  t a+ k
     a- k   ->  t k a-
 
-Traces tr(q^h . word) over F are evaluated in closed form as finite
-sums of geometric series, producing exact rational functions in t with
-q substituted as a rational number.
+The trace tr(q^h (a+)^p k^e (a-)^p) over F is a finite sum of geometric
+series (`trace_pem`), with q substituted as a rational number.  One
+path sums such traces: `trace_sum` takes monomials with one (p, e, m)
+per mode, so it serves the single-mode traces `trace_qh` and
+`s_element` and the multi-mode traces of `ctm.mp_trace` alike, and
+returns a numerator over an exponent map of factors (1 - q t^k).
 
 The point action `apply_word_to_level` and the window zero test
 `multimode_sum_is_zero` of the identity checks run mod the prime
@@ -30,10 +33,12 @@ identities it tests below P, which keeps the randomized checks sound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Union
+from functools import lru_cache, reduce
+from operator import mul
+from typing import Iterable, Mapping, Optional, Union
 
 from .scalar import (
     P,
@@ -41,8 +46,8 @@ from .scalar import (
     P_ZERO,
     Poly,
     RatFunc,
-    RF_ZERO,
     one_minus_qtk,
+    over_common_map,
     qt_product,
 )
 
@@ -84,74 +89,43 @@ def word_imbalance(w: OscWord) -> int:
     return sum(1 if c == APLUS else -1 if c == AMINUS else 0 for c in w)
 
 
-class NormalForm:
-    """Sum of monomials (a+)^p k^e (a-)^m with Poly coefficients.
-
-    Keys are (p, e, m); zero coefficients are dropped.  Every key of a
-    normal-ordered word shares the same p - m.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict[tuple[int, int, int], Poly]] = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-
-    @staticmethod
-    def one() -> "NormalForm":
-        return NormalForm({(0, 0, 0): P_ONE})
-
-    def imbalance(self) -> Optional[int]:
-        for (p, _, m) in self.terms:
-            return p - m
-        return None
-
-    def mul_letter(self, letter: str) -> "NormalForm":
-        """Right-multiply by a single generator, re-normal-ordering."""
-        out: dict[tuple[int, int, int], Poly] = {}
-
-        def add(key, coeff):
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-
-        for (p, e, m), c in self.terms.items():
-            if letter == AMINUS:
-                add((p, e, m + 1), c)
-            elif letter == K:
-                # (a-)^m k = t^m k (a-)^m
-                add((p, e + 1, m), c.shift(m) if m else c)
-            else:  # APLUS
-                if m == 0:
-                    # (a+)^p k^e a+ = t^e (a+)^{p+1} k^e
-                    add((p + 1, e, 0), c.shift(e) if e else c)
-                else:
-                    # (a-)^m a+ = (a-)^{m-1} - t^m k (a-)^{m-1}
-                    add((p, e, m - 1), c)
-                    add((p, e + 1, m - 1), -c.shift(m))
-        return NormalForm(out)
-
-    def mul_word(self, word: OscWord) -> "NormalForm":
-        nf = self
-        for letter in word:
-            nf = nf.mul_letter(letter)
-        return nf
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormalForm) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (p, e, m), c in sorted(self.terms.items()):
-            bits.append(f"({c!r})*[p={p},e={e},m={m}]")
-        return " + ".join(bits)
+PEM = tuple[int, int, int]
 
 
-def normal_order(w: Union[OscWord, str]) -> NormalForm:
-    """Unique expansion of a word as sum of (a+)^p k^e (a-)^m monomials."""
+def mul_letter(terms: dict[PEM, Poly], letter: str) -> dict[PEM, Poly]:
+    """Right-multiply a sum {(p, e, m): coeff} of monomials (a+)^p k^e (a-)^m
+    by one generator, re-normal-ordered; zero coefficients are dropped."""
+    out: dict[PEM, Poly] = {}
+
+    def add(key, coeff):
+        out[key] = out[key] + coeff if key in out else coeff
+
+    for (p, e, m), c in terms.items():
+        if letter == AMINUS:
+            add((p, e, m + 1), c)
+        elif letter == K:
+            # (a-)^m k = t^m k (a-)^m
+            add((p, e + 1, m), c.shift(m) if m else c)
+        elif m == 0:  # APLUS
+            # (a+)^p k^e a+ = t^e (a+)^{p+1} k^e
+            add((p + 1, e, 0), c.shift(e) if e else c)
+        else:  # APLUS
+            # (a-)^m a+ = (a-)^{m-1} - t^m k (a-)^{m-1}
+            add((p, e, m - 1), c)
+            add((p, e + 1, m - 1), -c.shift(m))
+    return {k: v for k, v in out.items() if v}
+
+
+def mul_word(terms: dict[PEM, Poly], word: OscWord) -> dict[PEM, Poly]:
+    return reduce(mul_letter, word, terms)
+
+
+def normal_order(w: Union[OscWord, str]) -> dict[PEM, Poly]:
+    """Unique expansion of a word as {(p, e, m): coeff} over the monomials
+    (a+)^p k^e (a-)^m; every key shares the word's imbalance p - m."""
     if isinstance(w, str):
         w = word_from_str(w)
-    return NormalForm.one().mul_word(w)
+    return mul_word({(0, 0, 0): P_ONE}, w)
 
 
 def apply_word_to_level(w: OscWord, d: int, t: int) -> tuple[int, int]:
@@ -192,6 +166,7 @@ def _product_coeffs(p: int) -> list[Poly]:
 def trace_pem(p: int, e: int, q: Fraction) -> Poly:
     """tr(q^h (a+)^p k^e (a-)^p) in closed form, as its numerator over the
     formal denominator prod_{k=0..p} (1 - q t^{e+k}); nothing is reduced.
+    `trace_sum` is the one reader of that denominator.
 
     Summing d = p + s gives q^p * sum_k c_k(t) / (1 - q t^{e+k}) where
     prod_{j=1..p}(1 - t^j x) = sum_k c_k(t) x^k.
@@ -208,24 +183,39 @@ def trace_pem(p: int, e: int, q: Fraction) -> Poly:
     return total
 
 
-def trace_qh(w: Union[OscWord, str, NormalForm], q: Fraction) -> RatFunc:
+def trace_sum(terms: Mapping[tuple[PEM, ...], Poly], q: Fraction) -> tuple[Poly, Counter]:
+    """tr(q^h . sum) of a sum {one (p, e, m) per mode: coeff} over all modes, as
+    (numerator, exponent map {k: multiplicity} of prod_k (1 - q t^k)).
+
+    A monomial's trace is the product of its modes' `trace_pem` closed
+    forms, so it depends only on the multiset of its (e, p) pairs: the
+    coefficients are summed per multiset, each multiset's closed forms
+    multiplied in once, and the multisets lifted to one map.  Raises
+    UnbalancedWordError when some mode has p != m.
+    """
+    groups: dict[tuple[tuple[int, int], ...], Poly] = {}
+    for key, coeff in terms.items():
+        if any(p != m for p, _, m in key):
+            raise UnbalancedWordError("unbalanced word")
+        ranges = tuple(sorted((e, p) for p, e, _ in key))
+        groups[ranges] = groups.get(ranges, P_ZERO) + coeff
+    nums, exps = over_common_map(q, {
+        ranges: (reduce(mul, (trace_pem(p, e, q) for e, p in ranges), coeff),
+                 Counter(k for e, p in ranges for k in range(e, e + p + 1)))
+        for ranges, coeff in groups.items()})
+    return sum(nums.values(), P_ZERO), exps
+
+
+def trace_qh(w: Union[OscWord, str], q: Fraction) -> RatFunc:
     """Exact tr(q^h . w) over the Fock space as a rational function in t.
 
-    Sums the `trace_pem` numerators of the normal-ordered monomials,
-    each over its formal denominator.  Raises UnbalancedWordError when
-    the word does not conserve the level, and DivergentTraceError when
-    some required geometric series fails to converge (only possible at
-    q = 1 with a k-free term).
+    The `trace_sum` of the normal-ordered word, reduced once.  Raises
+    UnbalancedWordError when the word does not conserve the level, and
+    DivergentTraceError when some required geometric series fails to
+    converge (only possible at q = 1 with a k-free term).
     """
-    nf = w if isinstance(w, NormalForm) else normal_order(w)
-    delta = nf.imbalance()
-    if delta not in (None, 0):
-        raise UnbalancedWordError("unbalanced word")
-    total = RF_ZERO
-    for (p, e, m), c in nf.terms.items():
-        formal = dict.fromkeys(range(e, e + p + 1), 1)
-        total = total + RatFunc(c * trace_pem(p, e, q), qt_product(q, formal))
-    return total
+    num, exps = trace_sum({(pem,): c for pem, c in normal_order(w).items()}, q)
+    return RatFunc(num, qt_product(q, exps))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +263,10 @@ def s_element(
     for r in range(L):
         wr = s_weight(i[r], a[r], j[r], b[r])
         if wr is None:
-            return RF_ZERO
+            return RatFunc(P_ZERO)
         word.extend(wr)
-    prefactor = RatFunc(one_minus_qtk(q, m - l))
-    return prefactor * trace_qh(tuple(word), q)
+    num, exps = trace_sum({(pem,): c for pem, c in normal_order(tuple(word)).items()}, q)
+    return RatFunc(num * one_minus_qtk(q, m - l), qt_product(q, exps))
 
 
 @dataclass(frozen=True)

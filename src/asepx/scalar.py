@@ -20,15 +20,16 @@ The point-evaluated identity checks run on these residues.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from operator import mul, or_
+from typing import Hashable, Iterable, Mapping, Union
 
 _ZERO = 0
 
-CoeffLike = Union[int, str, Fraction]
+CoeffLike = Union[int, Fraction]
 
 
 class PoleError(ZeroDivisionError):
@@ -182,10 +183,6 @@ class Poly:
         """Coefficients as "num/den" strings, lowest degree first."""
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(data: Sequence[str]) -> "Poly":
-        return Poly(data)
-
     # -- dunder plumbing ---------------------------------------------------
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -275,6 +272,15 @@ def qt_product(q: Fraction, exps: Mapping[int, int]) -> Poly:
     return reduce(mul, (_qt_power(q, k, c) for k, c in exps.items()), P_ONE)
 
 
+def over_common_map(
+    q: Fraction, parts: Mapping[Hashable, tuple[Poly, Counter]]
+) -> tuple[dict[Hashable, Poly], Counter]:
+    """{key: (numerator, exponent map)} lifted to one map, each factor (1 - q t^k)
+    at its largest multiplicity: a numerator gains the factors its map lacks."""
+    common = reduce(or_, (exps for _, exps in parts.values()), Counter())
+    return {k: num * qt_product(q, common - exps) for k, (num, exps) in parts.items()}, common
+
+
 class RatFunc:
     """Rational function in t, stored reduced with a monic denominator."""
 
@@ -355,10 +361,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(data: dict) -> "RatFunc":
-        return RatFunc(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
 
     def __eq__(self, other) -> bool:
         return (

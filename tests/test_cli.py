@@ -91,6 +91,8 @@ class TestVerifyCommand:
             ["stationary", "--mult", "2,1,1", "--all-methods", "--q", "2/3"],
             ["stationary", "--n", "3", "--mult", "2,1,1"],
             ["stationary", "--mult", "1,1,1", "--L", "4"],
+            ["dump-mlq", "--mult", "2,0,1"],
+            ["dump-mlq", "--mult", "2,0,1", "--format", "text"],
         ],
     )
     def test_vacuous_arguments_exit_one_with_an_error_line(self, capsys, argv):

@@ -27,7 +27,7 @@ from asepx.ctm import (
 from asepx.oscillator import (
     DivergentTraceError,
     FockTruncation,
-    NormalForm,
+    mul_word,
     normal_order,
     trace_pem,
     word_imbalance,
@@ -299,7 +299,7 @@ def _per_key_trace(sigma):
 
 @cache
 def _normal_order(word):
-    return tuple(normal_order(word).terms.items())
+    return tuple(normal_order(word).items())
 
 
 def _unpruned_balanced_terms(sigma):
@@ -360,16 +360,15 @@ class TestPrunedExpansion:
 
     def test_normal_orders_each_monomial_and_word_once(self, monkeypatch):
         calls = []
-        mul_word = NormalForm.mul_word
 
-        def counting(nf, word):
-            calls.append((tuple(nf.terms), word))
-            return mul_word(nf, word)
+        def counting(terms, word):
+            calls.append((tuple(terms), word))
+            return mul_word(terms, word)
 
         for cached in vars(ctm).values():
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
-        monkeypatch.setattr(NormalForm, "mul_word", counting)
+        monkeypatch.setattr(ctm, "mul_word", counting)
         m = Multiplicity((2, 1, 1, 1))
         got = mp_stationary(m).canonical()
         monkeypatch.undo()
@@ -443,6 +442,27 @@ class TestOrbitReduction:
                 need |= Counter(j for p, e, _ in key for j in range(e, e + p + 1))
         assert vec.den == reduce(mul, (one_minus_t_pow(j) ** c for j, c in need.items()))
         assert vec.canonical() == stationary_kernel(m)
+
+    def test_one_closed_form_per_mode_of_each_multiset(self, monkeypatch):
+        import asepx.oscillator as oscillator
+
+        calls = []
+        closed_form = oscillator.trace_pem
+
+        def counting(p, e, q):
+            calls.append((p, e))
+            return closed_form(p, e, q)
+
+        monkeypatch.setattr(oscillator, "trace_pem", counting)
+        m = Multiplicity((2, 1, 1, 1))
+        got = mp_stationary(m).canonical()
+        monkeypatch.undo()
+        # a monomial's trace depends only on the multiset of its (e, p) pairs
+        reps = set(cyclic_orbit_reps(SectorBasis(m).configs).values())
+        multisets = [{tuple(sorted((e, p) for p, e, _ in key)) for key in ctm._balanced_terms(rep)}
+                     for rep in reps]
+        assert len(calls) == sum(len(ranges) for per_rep in multisets for ranges in per_rep)
+        assert got == stationary_kernel(m)
 
 
 def _expand(L, xi):

@@ -2,13 +2,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import asepx.mlq as mlq_module
-from asepx.asep_core import Multiplicity, SectorBasis, cyclic_shift, stationary_kernel
+from asepx.asep_core import (
+    Multiplicity,
+    SectorBasis,
+    basic_multiplicities,
+    cyclic_shift,
+    stationary_kernel,
+)
 from asepx.mlq import (
     BallSystem,
     MLQRecord,
@@ -24,7 +30,9 @@ from asepx.mlq import (
     pairing_denominator,
     pairing_weight,
     project_pi,
+    row_from_cols,
 )
+from asepx.oscillator import s_element
 from asepx.scalar import Poly, RatFunc, random_point
 
 from conftest import mlq_enumerate_direct, one_minus_t_pow, poly, rf
@@ -452,6 +460,50 @@ class TestMlqState:
         mlq_state(Multiplicity((3, 1, 3)), Fraction(1))
         info = _pairing_images.cache_info()
         assert info.misses == info.currsize  # nothing was evicted
+
+
+def _trace_state(m, q):
+    """Oracle for `mlq_state` at any q: the pairing rounds composed as in
+    `bigM_apply`, with each image a of a row pair (i, j) weighted by the
+    strange five-vertex trace `s_element` instead of the pairing sums."""
+    n, L = m.n, m.L
+    vec = dict.fromkeys(mlq_module._ball_systems(m), rf(poly(1)))
+    for j in range(1, n):
+        for r in range(n, j, -1):
+            qeff, pos = q ** (n - r + 1), n - r
+            out = {}
+            for key, w in vec.items():
+                lower, upper = key[pos], key[pos + 1]
+                for cols in combinations([c for c in range(L) if upper[c]], sum(lower)):
+                    a = row_from_cols(cols, L)
+                    b = tuple(u - x for u, x in zip(upper, a))
+                    nkey = key[:pos] + (b, a) + key[pos + 2:]
+                    out[nkey] = out.get(nkey, rf(poly())) + w * s_element(qeff, lower, upper, a, b)
+            vec = out
+    state = {}
+    for key, w in vec.items():
+        config = tuple(sum(c * row[s] for c, row in enumerate(key, 1)) for s in range(L))
+        state[config] = state.get(config, rf(poly())) + w
+    return {c: v for c, v in state.items() if v}
+
+
+class TestQueueTraceIdentity:
+    """The sector vector from strange five-vertex traces equals the
+    multiline-queue sum at q != 1, sector by sector."""
+
+    SECTORS = [
+        m for L in range(2, 6) for n in range(1, min(L, 3 if L == 5 else L))
+        for m in basic_multiplicities(n, L)
+    ]
+
+    @pytest.mark.parametrize("q", [Fraction(2, 5), Fraction(-3, 7)])
+    @pytest.mark.parametrize("m", SECTORS, ids=lambda m: ",".join(map(str, m.counts)))
+    def test_traces_compose_to_mlq_state(self, m, q):
+        assert _trace_state(m, q) == mlq_state(m, q).values
+
+    def test_rank_three_five_sites(self):
+        m, q = Multiplicity((2, 1, 1, 1)), Fraction(2, 5)
+        assert _trace_state(m, q) == mlq_state(m, q).values
 
 
 class TestDirectEnumeration:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,7 @@ from asepx.oscillator import (
     normal_order,
     s_element,
     s_weight,
+    trace_pem,
     trace_qh,
     word_from_str,
     word_imbalance,
@@ -63,13 +64,13 @@ def trace_truncated(w, q0, t0, dim):
 class TestNormalOrder:
     def test_annihilate_create(self):
         nf = normal_order("-+")
-        assert nf.terms == {(0, 0, 0): poly(1), (0, 1, 0): poly(0, -1)}
+        assert nf == {(0, 0, 0): poly(1), (0, 1, 0): poly(0, -1)}
 
     def test_create_annihilate_is_one_minus_k_on_fock(self):
         # a+ a- is already normal ordered as a monomial; as an operator
         # on the Fock space it equals 1 - k.
         nf = normal_order("+-")
-        assert nf.terms == {(1, 0, 1): poly(1)}
+        assert nf == {(1, 0, 1): poly(1)}
         trunc = FockTruncation(8)
         lhs = word_matrix(word_from_str("+-"), trunc)
         for d in range(7):
@@ -78,7 +79,7 @@ class TestNormalOrder:
 
     def test_two_step_rewrite(self):
         nf = normal_order("-k+")
-        assert nf.terms == {(0, 1, 0): poly(0, 1), (0, 2, 0): poly(0, 0, -1)}
+        assert nf == {(0, 1, 0): poly(0, 1), (0, 2, 0): poly(0, 0, -1)}
 
     def test_single_rewrite_confluence(self):
         # applying one admissible local rewrite first never changes the
@@ -97,11 +98,11 @@ class TestNormalOrder:
             if not spots:
                 continue
             i = rng.choice(spots)
-            direct = normal_order(w).terms
+            direct = normal_order(w)
             combined: dict = {}
             for middle, coeff in rewrites[(w[i], w[i + 1])]:
                 sub = normal_order(w[:i] + middle + w[i + 2 :])
-                for key, c in sub.terms.items():
+                for key, c in sub.items():
                     cur = combined.get(key, Poly())
                     new = cur + c * coeff
                     if new.is_zero():
@@ -120,7 +121,7 @@ class TestNormalOrder:
             direct = word_matrix(w, trunc)
             nf = normal_order(w)
             summed: dict = {}
-            for (p, e, m), coeff in nf.terms.items():
+            for (p, e, m), coeff in nf.items():
                 mono = (APLUS,) * p + (K,) * e + (AMINUS,) * m
                 for (r, c), v in word_matrix(mono, trunc).items():
                     cur = summed.get((r, c), Poly())
@@ -141,7 +142,7 @@ class TestNormalOrder:
             w = tuple(rng.choice("+-k") for _ in range(rng.randint(1, 7)))
             nf = normal_order(w)
             delta = word_imbalance(w)
-            assert all(p - m == delta for (p, _, m) in nf.terms)
+            assert all(p - m == delta for (p, _, m) in nf)
 
     def test_k_persistence_exhaustive(self):
         # every balanced word containing a k has e >= 1 in all its terms
@@ -150,7 +151,7 @@ class TestNormalOrder:
                 if word_imbalance(w) != 0 or K not in w:
                     continue
                 nf = normal_order(w)
-                assert all(e >= 1 for (_, e, _) in nf.terms), w
+                assert all(e >= 1 for (_, e, _) in nf), w
 
 
 class TestTraceQh:
@@ -208,6 +209,43 @@ class TestTraceQh:
         # sum_d q^d (1 - t^d) = 1/(1-q) - 1/(1-qt)
         expected = rf(poly(Fraction(1, 1 - q))) - rf(poly(1), poly(1, -q))
         assert got == expected
+
+
+class TestOneReduction:
+    """A trace is summed over its exponent map and reduced once."""
+
+    @staticmethod
+    def _count_ratfuncs(monkeypatch):
+        built = []
+        init = RatFunc.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        trace_pem.cache_clear()
+        monkeypatch.setattr(RatFunc, "__init__", counting)
+        return built
+
+    def test_trace_qh_builds_one_ratfunc(self, monkeypatch):
+        built = self._count_ratfuncs(monkeypatch)
+        for word in ("k", "+-", "-k+", "+k-k", "-k+-+k", "--k++"):
+            built.clear()
+            assert trace_qh(word, Fraction(3, 7))
+            assert len(built) == 1, word
+
+    def test_s_element_builds_one_ratfunc(self, monkeypatch):
+        built = self._count_ratfuncs(monkeypatch)
+        i, j = (1, 0, 1, 0, 0), (1, 1, 0, 1, 1)
+        nonzero = 0
+        for cols in combinations([c for c in range(5) if j[c]], sum(i)):
+            a = tuple(int(c in cols) for c in range(5))
+            b = tuple(x - y for x, y in zip(j, a))
+            built.clear()
+            if s_element(Fraction(-2, 5), i, j, a, b):
+                nonzero += 1
+                assert len(built) == 1, a
+        assert nonzero
 
 
 class TestTraceTruncated:
@@ -385,7 +423,7 @@ def _normal_expansion(coeff, words, t0):
     for w in words:
         parts = [
             ((APLUS,) * p + (K,) * e + (AMINUS,) * m, c.eval(t0))
-            for (p, e, m), c in normal_order(w).terms.items()
+            for (p, e, m), c in normal_order(w).items()
         ]
         out = [(c * c2, ws + (w2,)) for c, ws in out for w2, c2 in parts]
     return out
