@@ -316,6 +316,15 @@ def gillespie(
     times are exponential.  Occupation is accumulated over the window
     (burn_in, burn_in + horizon].  When a `stats` dict is supplied, the
     executed event count is recorded under "events".
+
+    Gillespie's direct method on a rate table built once per call, in
+    O(dim * L): each configuration's total rate and its moves as
+    (cumulative rate, target index) pairs, in site order, without rate-0
+    moves.  An event is then one table lookup, one exponential and one
+    uniform draw, and a linear search for the first cumulative rate at
+    or above the uniform.  The rates are summed, and the random numbers
+    drawn, in the same order as by a rescan of the ring at every event,
+    so a given seed returns the same occupations to the last bit.
     """
     # chained comparisons are False for nan; inf would never end the run
     if not 0 <= t_value < inf:
@@ -324,47 +333,48 @@ def gillespie(
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not 0 <= burn_in < inf:
         raise ValueError(f"burn_in must be finite and nonnegative, got {burn_in}")
-    rng = random.Random(seed)
     basis = SectorBasis(m)
     L = m.L
-    state = list(basis.configs[0])
-    end = burn_in + horizon
-    occ: dict[Config, float] = {}
-    now = 0.0
-    events = 0
-    while now < end:
-        moves = []
-        total = 0.0
+    totals: list[float] = []
+    moves: list[list[tuple[float, int]]] = []
+    for sigma in basis.configs:
+        row = []
+        acc = 0.0
         for i in range(L):
-            a, b = state[i], state[(i + 1) % L]
+            j = (i + 1) % L
+            a, b = sigma[i], sigma[j]
             if a == b:
                 continue
             rate = t_value if a < b else 1.0
             if rate > 0.0:
-                moves.append((i, rate))
-                total += rate
-        if total == 0.0:
-            dwell = end - now
-            nxt = end
-        else:
-            dwell = rng.expovariate(total)
-            nxt = now + dwell
+                target = list(sigma)
+                target[i], target[j] = b, a
+                acc += rate
+                row.append((acc, basis.index[tuple(target)]))
+        totals.append(acc)
+        moves.append(row)
+    rng = random.Random(seed)
+    expovariate, uniform = rng.expovariate, rng.uniform
+    state = 0
+    end = burn_in + horizon
+    occ: dict[int, float] = {}
+    now = 0.0
+    events = 0
+    while now < end:
+        total = totals[state]
+        nxt = now + expovariate(total) if total else end
         overlap = min(nxt, end) - max(now, burn_in)
         if overlap > 0:
-            key = tuple(state)
-            occ[key] = occ.get(key, 0.0) + overlap
-        if total == 0.0:
+            occ[state] = occ.get(state, 0.0) + overlap
+        if not total:
             break
         now = nxt
         events += 1
-        pick = rng.uniform(0.0, total)
-        acc = 0.0
-        for i, rate in moves:
-            acc += rate
+        pick = uniform(0.0, total)
+        for acc, target in moves[state]:
             if pick <= acc:
-                j = (i + 1) % L
-                state[i], state[j] = state[j], state[i]
+                state = target
                 break
     if stats is not None:
         stats["events"] = events
-    return {c: w / horizon for c, w in occ.items()}
+    return {basis.configs[i]: w / horizon for i, w in occ.items()}

@@ -131,9 +131,29 @@ def build_X(n: int, alpha: int) -> XOperator:
 
 
 @lru_cache(maxsize=None)
-def _mul_word(pem: PEM, word: OscWord) -> tuple[tuple[PEM, Poly], ...]:
-    """The monomial pem right-multiplied by word, normal-ordered: (monomial, coeff) items."""
-    return tuple(mul_word({pem: P_ONE}, word).items())
+def _mul_word(pem: PEM, word: OscWord) -> tuple[tuple[PEM, int, bool], ...]:
+    """The monomial pem right-multiplied by word, normal-ordered.
+
+    Returns (monomial, k, negative) items, one per coefficient
+    (-1)**negative * t^k.  A layer term's mode words are single letters,
+    and one rewrite rule takes a monomial to monomials with such signed
+    monomial coefficients, so the expansion applies each by a shift and a
+    sign; any other coefficient raises.
+    """
+    out = []
+    for pem2, c in mul_word({pem: P_ONE}, word).items():
+        k = c.degree
+        if c.coeffs[k] not in (1, -1) or any(c.coeffs[:k]):
+            raise AssertionError(f"coefficient {c} of {pem} * {word} is not a signed monomial")
+        out.append((pem2, k, c.coeffs[k] < 0))
+    return tuple(out)
+
+
+def _signed_shift(p: Poly, k: int, negative: bool) -> Poly:
+    """p * (-1)**negative * t^k."""
+    if k:
+        p = p.shift(k)
+    return -p if negative else p
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +196,11 @@ def _balanced_terms(sigma: Config) -> dict[tuple[PEM, ...], Poly]:
                 scaled = coeff if term.coeff == P_ONE else coeff * term.coeff
                 expansions: list[tuple[tuple[PEM, ...], Poly]] = [((), scaled)]
                 for pem, word in zip(key, term.words):
-                    parts = _mul_word(pem, word) if word else ((pem, P_ONE),)
+                    parts = _mul_word(pem, word) if word else ((pem, 0, False),)
                     expansions = [
-                        (kacc + (pem2,), cacc if c2 == P_ONE else cacc * c2)
+                        (kacc + (pem2,), _signed_shift(cacc, k, negative))
                         for kacc, cacc in expansions
-                        for pem2, c2 in parts
+                        for pem2, k, negative in parts
                     ]
                 for nkey, ncoeff in expansions:
                     cur = nxt.get(nkey)

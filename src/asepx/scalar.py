@@ -61,6 +61,14 @@ class Poly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def _of(coeffs: tuple) -> "Poly":
+        """A Poly of coefficients already normalized, with no trailing zero."""
+        out = object.__new__(Poly)
+        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "_hash", None)
+        return out
+
+    @staticmethod
     def t_power(k: int, c: CoeffLike = 1) -> "Poly":
         """c * t**k."""
         return Poly((0,) * k + (c,))
@@ -93,7 +101,7 @@ class Poly:
         return Poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -120,7 +128,7 @@ class Poly:
         """Multiply by t**k."""
         if not self.coeffs:
             return P_ZERO
-        return Poly((_ZERO,) * k + self.coeffs)
+        return Poly._of((_ZERO,) * k + self.coeffs)
 
     def __pow__(self, n: int) -> "Poly":
         result = P_ONE

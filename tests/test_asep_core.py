@@ -450,3 +450,21 @@ class TestGillespie:
     def test_total_time_is_normalized(self):
         dist = gillespie(Multiplicity((1, 1, 1)), 0.5, horizon=50.0, seed=1)
         assert sum(dist.values()) == pytest.approx(1.0)
+
+    def test_runs_match_the_recorded_digest(self):
+        # sha256 of the repr of sorted occupations and event counts, so every
+        # float bit counts; recorded before the rate table replaced the
+        # per-event rescan of the ring.  (1,1,1) at t = 0 drops rate-0 moves,
+        # and (3,0) is frozen, so it runs no event.
+        cases = [((2, 1, 1), 0.5, s) for s in range(3)]
+        cases += [((1, 1, 1), 0.0, 0), ((3, 0), 0.5, 0)]
+        runs = []
+        for counts, t, seed in cases:
+            stats = {}
+            dist = gillespie(
+                Multiplicity(counts), t, horizon=2000.0, burn_in=20.0, seed=seed, stats=stats
+            )
+            runs.append((counts, t, seed, sorted(dist.items()), stats["events"]))
+        assert [run[-1] for run in runs] == [5007, 4913, 5035, 2641, 0]
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "1fe132008927cbfbf202370640c9ef9b825f34c0a9b709f434a72817e0d0bba0"

@@ -375,6 +375,34 @@ class TestPrunedExpansion:
         assert calls and len(calls) == len(set(calls))
         assert got == stationary_kernel(m)
 
+    def test_every_part_is_a_signed_monomial(self, monkeypatch):
+        products = []
+
+        def recording(terms, word):
+            out = mul_word(terms, word)
+            products.append((terms, word, out))
+            return out
+
+        ctm._mul_word.cache_clear()
+        monkeypatch.setattr(ctm, "mul_word", recording)
+        basis = SectorBasis(Multiplicity((1, 1, 1, 1, 1)))
+        for sigma in sorted(set(cyclic_orbit_reps(basis.configs).values())):
+            ctm._balanced_terms(sigma)
+        monkeypatch.undo()
+        assert products
+        for terms, word, out in products:
+            assert all(c.leading() in (1, -1) and sum(map(bool, c.coeffs)) == 1
+                       for c in out.values()), (terms, word)
+            (pem,) = terms
+            signed = {pem2: Poly.t_power(k, -1 if negative else 1)
+                      for pem2, k, negative in ctm._mul_word(pem, word)}
+            assert signed == out
+
+    def test_a_coefficient_that_is_no_signed_monomial_raises(self, monkeypatch):
+        monkeypatch.setattr(ctm, "mul_word", lambda terms, word: {(0, 0, 1): poly(1, 1)})
+        with pytest.raises(AssertionError, match="not a signed monomial"):
+            ctm._mul_word.__wrapped__((0, 0, 0), ("-",))
+
 
 class TestOrbitReduction:
     def test_one_trace_per_cyclic_orbit(self, monkeypatch):
