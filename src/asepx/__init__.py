@@ -9,6 +9,7 @@ of the algebraic identities that tie them together.
 from .asep_core import (
     Multiplicity,
     SectorBasis,
+    SectorVector,
     basic_multiplicities,
     cyclic_shift,
     gillespie,
@@ -19,7 +20,6 @@ from .ctm import build_T, build_X, check_recursion, mp_stationary, mp_trace
 from .mlq import (
     BallSystem,
     PairingOutcome,
-    SectorVector,
     bigM_apply,
     enumerate_pairings,
     m_element,

@@ -9,11 +9,11 @@ residues of a sampled rational point; R enters them only through
 `r_element`, its numerator and denominator evaluated mod P.  Operator
 identities are compared as truncated-Fock matrix identities on the safe
 window, organized through the tensor factorization of the terms so the
-product state space is never enumerated.  The window identities share
-one harness, `_window_report`: each check only builds the term sums of
-its cases with `_products`, and the harness runs the zero test, scans a
-failing case for a witness and writes the report.  Every report records
-the degree bounds that make the randomized checks sound.
+product state space is never enumerated.  They share one harness with
+`ctm.check_recursion`, `oscillator._window_report`: each check builds
+the term sums of its cases with `_products`, and the harness zero-tests
+them, names a witness per failing case and writes the report, with the
+degree bounds that make the randomized checks sound.
 
 Soundness mod P.  `residue` is injective on the sample set, because
 RANDOM_POINT_BOUND**2 < P, and no pole t z = 1 of a check vanishes mod P
@@ -36,11 +36,10 @@ m <= 2 n - 1, so N n 2^m < 2^38 for n <= 7.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .asep_core import (
     Multiplicity,
@@ -51,7 +50,6 @@ from .asep_core import (
     stationary_kernel,
 )
 from .ctm import (
-    EvalTerm,
     XOperator,
     XTerm,
     _x_eval_terms,
@@ -63,51 +61,19 @@ from .mlq import m_element, mlq_state
 from .oscillator import (
     AMINUS,
     APLUS,
+    CheckReport,
+    EvalTerm,
     FockTruncation,
     K,
+    MOD_P_NOTE,
     ModeWords,
-    apply_word_to_level,
-    multimode_sum_is_zero,
+    _apply_modewords,
+    _window_report,
     multimode_words_mul,
     normal_order,
     s_element,
 )
 from .scalar import P, Poly, RatFunc, RF_ONE, RF_ZERO, random_point, residue, signed_residue
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one verification, with sampling/soundness metadata."""
-
-    name: str
-    passed: bool
-    params: dict = field(default_factory=dict)
-    trials: int = 1
-    witnesses: list = field(default_factory=list)
-    degree_bound: dict = field(default_factory=dict)
-    notes: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.name,
-            "passed": self.passed,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "trials": self.trials,
-            "witnesses": [str(w) for w in self.witnesses],
-            "degree_bound": self.degree_bound,
-            "notes": self.notes,
-        }
-
-
-# the soundness condition of the point checks (module docstring)
-MOD_P_NOTE = (
-    "zero test mod P = 2^61 - 1 at the point's residues; a difference nonzero"
-    " over Q could pass at every point only if P divided all its coefficients"
-    " after clearing denominators, which stay below 2^38 (for n <= 7)"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -428,82 +394,6 @@ def _products(
         for c1, w1 in left
         for c2, w2 in right
     ]
-
-
-def _apply_modewords(
-    modewords: ModeWords,
-    levels: Sequence[int],
-    t: int,
-    window: Optional[int] = None,
-) -> Optional[tuple[tuple[int, ...], int]]:
-    """Act with a multi-mode word on the Fock levels (m_1, m_2, ...), mod P.
-
-    Returns the image levels and the coefficient, or None when the word
-    annihilates the state or, with a window given, leaves it.
-    """
-    out = []
-    coeff = 1
-    for word, d in zip(modewords, levels, strict=True):
-        d2, c = apply_word_to_level(word, d, t)
-        if not c or (window is not None and d2 > window):
-            return None
-        coeff = coeff * c % P
-        out.append(d2)
-    return tuple(out), coeff
-
-
-def _direct_witness(terms: Sequence[EvalTerm], window: int, t: int):
-    """Slow fallback: scan window states for a matrix element nonzero mod P."""
-    if not terms:
-        return None
-    for state in product(range(window + 1), repeat=len(terms[0][1])):
-        acc: dict[tuple[int, ...], int] = {}
-        for coeff, modewords in terms:
-            hit = _apply_modewords(modewords, state, t, window)
-            if hit is not None:
-                key, c = hit
-                acc[key] = (acc.get(key, 0) + coeff * c) % P
-        for key, v in acc.items():
-            if v:
-                return {"in": state, "out": key, "value": signed_residue(v)}
-    return None
-
-
-def _window_report(
-    name: str,
-    label: str,
-    cases: Iterable[tuple[tuple[int, ...], list[EvalTerm]]],
-    nmodes: int,
-    trunc: FockTruncation,
-    t0: Fraction,
-    params: dict,
-    t_extra: int,
-    bounds: dict,
-) -> CheckReport:
-    """Zero-test the term sum of every (index, terms) case on the safe window.
-
-    The terms' coefficients are residues mod P at the point, t0 among
-    its coordinates.  A case whose sum is not zero becomes a witness
-    {label: index, "element": the first nonzero matrix element of the
-    direct scan}.  The t-degree bound counts the window levels of every
-    mode plus `t_extra` for the coefficients; `bounds` holds the bounds
-    in the other variables.
-    """
-    window = trunc.safe_window(2)
-    t = residue(t0)
-    witnesses = [
-        {label: index, "element": _direct_witness(terms, window, t)}
-        for index, terms in cases
-        if not multimode_sum_is_zero(terms, window, t)
-    ]
-    return CheckReport(
-        name=name,
-        passed=not witnesses,
-        params={**params, "t": t0, "fock_dim": trunc.dim},
-        witnesses=witnesses[:5],
-        degree_bound={"t": 2 * max(nmodes, 1) * (window + 2) + t_extra, **bounds},
-        notes=f"window comparison via tensor-factorized reduction; {MOD_P_NOTE}",
-    )
 
 
 def check_rtt(

@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import inf
 from typing import Iterable, Iterator, Optional
 
-from .scalar import P_ONE, P_ZERO, Poly, content, poly_gcd, primitive
+from .scalar import P_ONE, P_ZERO, Poly, RatFunc, content, poly_gcd, primitive
 
 Config = tuple[int, ...]
 
@@ -93,9 +94,6 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return len(self.configs)
-
-    def __iter__(self) -> Iterator[Config]:
-        return iter(self.configs)
 
 
 def cyclic_shift(c: Config) -> Config:
@@ -280,6 +278,23 @@ def canonicalize_values(
     }
 
 
+@dataclass
+class SectorVector:
+    """Polynomial numerators over one shared denominator, per configuration."""
+
+    basis: SectorBasis
+    nums: dict[Config, Poly]
+    den: Poly = P_ONE
+
+    def canonical(self) -> dict[Config, Poly]:
+        return canonicalize_values(self.basis, self.nums)
+
+    @cached_property
+    def values(self) -> dict[Config, RatFunc]:
+        """The reduced rational-function value of every configuration present."""
+        return {c: RatFunc(n, self.den) for c, n in self.nums.items()}
+
+
 def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     """The unique stationary vector of the sector, canonically normalized.
 
@@ -289,8 +304,6 @@ def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     """
     basis = SectorBasis(m)
     mat = markov_sector(m, basis)
-    if basis.dim == 1:
-        return {basis.configs[0]: P_ONE}
     kernel = _orbit_reduced_kernel(mat, basis)
     canon = canonicalize_values(basis, dict(zip(basis.configs, kernel)))
     if nonzero_residual(mat, basis, canon):

@@ -31,25 +31,23 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .asep_core import Config, Multiplicity, SectorBasis, cyclic_orbit_reps
-from .mlq import SectorVector
+from .asep_core import Config, Multiplicity, SectorBasis, SectorVector, cyclic_orbit_reps
 from .oscillator import (
     AMINUS,
     APLUS,
+    CheckReport,
+    EvalTerm,
     FockTruncation,
     K,
     PEM,
     ModeWords,
     OscWord,
+    _window_report,
     mul_word,
-    multimode_sum_is_zero,
     trace_sum,
     word_imbalance,
 )
 from .scalar import P, P_ONE, Poly, over_common_map, qt_product, residue
-
-# a term with its coefficient as a residue mod P
-EvalTerm = tuple[int, ModeWords]
 
 
 @dataclass(frozen=True)
@@ -249,25 +247,24 @@ def _x_eval_terms(x: XOperator, z: int, t: int) -> list[EvalTerm]:
 
 def check_recursion(
     n: int, z0: Fraction, t0: Fraction, trunc: FockTruncation
-) -> bool:
+) -> CheckReport:
     """Rank recursion X_a = sum_i X~_i T_{i a} as a truncated-matrix identity.
 
-    Both sides are evaluated mod P at the residues of (z0, t0), and their
-    difference is tested on the safe window by the tensor-factorized
-    zero test, so the product state space is never enumerated.
+    One case per alpha, X_alpha minus sum_i X~_i T_{i alpha} at the
+    residues of (z0, t0), run by `oscillator._window_report`.  Every term
+    has coefficient 1 and z-degree at most n, so the degree bounds are n
+    in z and, in t, the Fock action's 2 nmodes (window + 2) alone.
     """
     z, t = residue(z0), residue(t0)
-    window = trunc.safe_window(2)
     tmat = build_T(n)
-    for alpha in range(n + 1):
-        terms = _x_eval_terms(build_X(n, alpha), z, t)
-        for i in range(n):
-            tentry = tmat.get((i, alpha))
-            if tentry is None:
-                continue
-            zt = pow(z, tentry.zdeg, P)
-            for c, words in _x_eval_terms(build_X(n - 1, i), z, t):
-                terms.append((-c * zt, tentry.words + words))
-        if not multimode_sum_is_zero(terms, window, t):
-            return False
-    return True
+
+    def case(alpha: int) -> list[EvalTerm]:
+        rhs = [(-c * pow(z, tentry.zdeg, P), tentry.words + words)
+               for (i, a), tentry in tmat.items() if a == alpha
+               for c, words in _x_eval_terms(build_X(n - 1, i), z, t)]
+        return _x_eval_terms(build_X(n, alpha), z, t) + rhs
+
+    return _window_report(
+        "recursion", "alpha", ((alpha, case(alpha)) for alpha in range(n + 1)),
+        n * (n - 1) // 2, trunc, t0, {"n": n, "z": z0}, 0, {"z": n},
+    )

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .asep_core import Config, Multiplicity, SectorBasis, canonicalize_values
+from .asep_core import Config, Multiplicity, SectorBasis, SectorVector
 from .scalar import P_ONE, Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk, qt_product
 
 Row = tuple[int, ...]
@@ -66,23 +66,6 @@ class BallSystem:
         occ = [sum(r) for r in self.rows]
         if any(occ[i] >= occ[i + 1] for i in range(len(occ) - 1)):
             raise ValueError(f"occupancies must increase bottom-up, got {occ}")
-
-
-@dataclass
-class SectorVector:
-    """Polynomial numerators over one shared denominator, per configuration."""
-
-    basis: SectorBasis
-    nums: dict[Config, Poly]
-    den: Poly = P_ONE
-
-    def canonical(self) -> dict[Config, Poly]:
-        return canonicalize_values(self.basis, self.nums)
-
-    @cached_property
-    def values(self) -> dict[Config, RatFunc]:
-        """The reduced rational-function value of every configuration present."""
-        return {c: RatFunc(n, self.den) for c, n in self.nums.items()}
 
 
 def row_from_cols(cols, L: int) -> Row:
@@ -248,10 +231,6 @@ def _apply_mcheck_at(
         if not coeff:
             continue
         i, j = key[pos], key[pos + 1]
-        if sum(i) >= sum(j):
-            raise ValueError(
-                f"occupancy mismatch at slots {pos},{pos + 1}: {sum(i)} >= {sum(j)}"
-            )
         for a, w in _pairing_images(q, i, j):
             b = tuple(j[c] - a[c] for c in range(len(j)))
             nkey = key[:pos] + (b, a) + key[pos + 2:]

@@ -22,8 +22,10 @@ per mode, so it serves the single-mode traces `trace_qh` and
 `s_element` and the multi-mode traces of `ctm.mp_trace` alike, and
 returns a numerator over an exponent map of factors (1 - q t^k).
 
-The point action `apply_word_to_level` and the window zero test
-`multimode_sum_is_zero` of the identity checks run mod the prime
+The point action `apply_word_to_level`, the window zero test
+`multimode_sum_is_zero` and `_window_report`, the one harness that runs
+it on every case of a truncated identity (rtt, zf, hat, `ctm`'s rank
+recursion) and names a witness per failing case, work mod the prime
 P = 2^61 - 1 of `scalar`, at the residue of the sampled t: exact linear
 algebra over GF(P), so a sum passes iff every window matrix element is
 0 mod P.  A matrix element nonzero over Q is 0 mod P only if P divides
@@ -34,11 +36,12 @@ identities it tests below P, which keeps the randomized checks sound.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from operator import mul
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .scalar import (
     P,
@@ -49,6 +52,8 @@ from .scalar import (
     one_minus_qtk,
     over_common_map,
     qt_product,
+    residue,
+    signed_residue,
 )
 
 APLUS = "+"
@@ -62,6 +67,9 @@ OscWord = tuple[str, ...]
 # A multi-mode word: one OscWord per Fock mode, mode 1 first; the empty
 # word () is the identity on its mode.  Distinct modes commute.
 ModeWords = tuple[OscWord, ...]
+
+# a term with its coefficient as a residue mod P
+EvalTerm = tuple[int, ModeWords]
 
 
 class UnbalancedWordError(ValueError):
@@ -314,9 +322,7 @@ def _mode_vector(word: OscWord, shift: int, window: int, t: int) -> tuple[int, .
     return tuple(vals)
 
 
-def multimode_sum_is_zero(
-    terms: Iterable[tuple[int, ModeWords]], window: int, t: int
-) -> bool:
+def multimode_sum_is_zero(terms: Iterable[EvalTerm], window: int, t: int) -> bool:
     """Zero test mod P for sum_k c_k * (tensor of mode words) on the window.
 
     The coefficients c_k and t are residues mod P.  Equivalent to
@@ -336,7 +342,7 @@ def multimode_sum_is_zero(
     terms = list(terms)
     if len({len(words) for _, words in terms}) > 1:
         raise ValueError("terms carry different numbers of mode words")
-    groups: dict[tuple[int, ...], list[tuple[int, ModeWords]]] = {}
+    groups: dict[tuple[int, ...], list[EvalTerm]] = {}
     for coeff, words in terms:
         if coeff := coeff % P:
             shifts = tuple(word_imbalance(w) for w in words)
@@ -390,3 +396,118 @@ def _tensor_zero(
         if not _tensor_zero(sub, vectors, mode + 1):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# window harness of the truncated-operator identities
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one verification, with sampling/soundness metadata."""
+
+    name: str
+    passed: bool
+    params: dict = field(default_factory=dict)
+    trials: int = 1
+    witnesses: list = field(default_factory=list)
+    degree_bound: dict = field(default_factory=dict)
+    notes: str = ""
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    def to_json(self) -> dict:
+        return {
+            "check": self.name,
+            "passed": self.passed,
+            "params": {k: str(v) for k, v in self.params.items()},
+            "trials": self.trials,
+            "witnesses": [str(w) for w in self.witnesses],
+            "degree_bound": self.degree_bound,
+            "notes": self.notes,
+        }
+
+
+# the soundness condition of the point checks (`algebra_checks` docstring)
+MOD_P_NOTE = (
+    "zero test mod P = 2^61 - 1 at the point's residues; a difference nonzero"
+    " over Q could pass at every point only if P divided all its coefficients"
+    " after clearing denominators, which stay below 2^38 (for n <= 7)"
+)
+
+
+def _apply_modewords(
+    modewords: ModeWords,
+    levels: Sequence[int],
+    t: int,
+    window: Optional[int] = None,
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """Act with a multi-mode word on the Fock levels (m_1, m_2, ...), mod P.
+
+    Returns the image levels and the coefficient, or None when the word
+    annihilates the state or, with a window given, leaves it.
+    """
+    out = []
+    coeff = 1
+    for word, d in zip(modewords, levels, strict=True):
+        d2, c = apply_word_to_level(word, d, t)
+        if not c or (window is not None and d2 > window):
+            return None
+        coeff = coeff * c % P
+        out.append(d2)
+    return tuple(out), coeff
+
+
+def _direct_witness(terms: Sequence[EvalTerm], window: int, t: int):
+    """Slow fallback: scan window states for a matrix element nonzero mod P."""
+    if not terms:
+        return None
+    for state in product(range(window + 1), repeat=len(terms[0][1])):
+        acc: dict[tuple[int, ...], int] = {}
+        for coeff, modewords in terms:
+            hit = _apply_modewords(modewords, state, t, window)
+            if hit is not None:
+                key, c = hit
+                acc[key] = (acc.get(key, 0) + coeff * c) % P
+        for key, v in acc.items():
+            if v:
+                return {"in": state, "out": key, "value": signed_residue(v)}
+    return None
+
+
+def _window_report(
+    name: str,
+    label: str,
+    cases: Iterable[tuple[object, list[EvalTerm]]],
+    nmodes: int,
+    trunc: FockTruncation,
+    t0: Fraction,
+    params: dict,
+    t_extra: int,
+    bounds: dict,
+) -> CheckReport:
+    """Zero-test the term sum of every (index, terms) case on the safe window.
+
+    The terms' coefficients are residues mod P at the point, t0 among
+    its coordinates.  A case whose sum is not zero becomes a witness
+    {label: index, "element": the first nonzero matrix element of the
+    direct scan}.  The t-degree bound counts the window levels of every
+    mode plus `t_extra` for the coefficients; `bounds` holds the bounds
+    in the other variables.
+    """
+    window = trunc.safe_window(2)
+    t = residue(t0)
+    witnesses = [
+        {label: index, "element": _direct_witness(terms, window, t)}
+        for index, terms in cases
+        if not multimode_sum_is_zero(terms, window, t)
+    ]
+    return CheckReport(
+        name=name,
+        passed=not witnesses,
+        params={**params, "t": t0, "fock_dim": trunc.dim},
+        witnesses=witnesses[:5],
+        degree_bound={"t": 2 * max(nmodes, 1) * (window + 2) + t_extra, **bounds},
+        notes=f"window comparison via tensor-factorized reduction; {MOD_P_NOTE}",
+    )

@@ -29,7 +29,7 @@ from asepx.algebra_checks import (
 from asepx.asep_core import Multiplicity, stationary_kernel
 from asepx.ctm import _x_eval_terms, build_X, check_recursion
 from asepx.mlq import _pairing_images
-from asepx.oscillator import FockTruncation, multimode_sum_is_zero, trace_pem
+from asepx.oscillator import FockTruncation, _direct_witness, multimode_sum_is_zero, trace_pem
 from asepx.scalar import P, Poly, RatFunc, random_point, residue
 
 from conftest import poly, rf, sparse
@@ -348,8 +348,6 @@ class TestVerifyStationary:
 
 class TestFailureWitnesses:
     def test_nonzero_sum_is_detected_with_witness(self):
-        from asepx.algebra_checks import _direct_witness
-
         # a+ a- differs from the identity on the Fock space
         terms = [
             (1, (("+", "-"),)),
@@ -361,8 +359,6 @@ class TestFailureWitnesses:
         assert witness is not None and witness["value"] != 0
 
     def test_witness_stays_inside_the_window(self):
-        from asepx.algebra_checks import _direct_witness
-
         # (a+)^2 takes every level of the window {0, 1} out of it, so only
         # k has a matrix element there
         terms = [
@@ -373,8 +369,6 @@ class TestFailureWitnesses:
         assert witness == {"in": (0,), "out": (0,), "value": 1}
 
     def test_witness_value_is_signed(self):
-        from asepx.algebra_checks import _direct_witness
-
         # a+ a- - 1 has the element -1 at the vacuum
         terms = [(1, (("+", "-"),)), (-1, ((),))]
         witness = _direct_witness(terms, 5, residue(Fraction(1, 3)))

@@ -175,6 +175,10 @@ class TestStationaryKernel:
         )
         assert got == expected
 
+    def test_frozen_sector(self):
+        # one configuration and no moves: the kernel of the zero matrix
+        assert stationary_kernel(Multiplicity((4, 0, 0))) == {(0, 0, 0, 0): poly(1)}
+
     def test_totally_asymmetric_limit(self):
         # at t = 0 the three-site state reduces to weights (2, 1)
         got = stationary_kernel(Multiplicity((1, 1, 1)))

@@ -240,7 +240,13 @@ class TestXMatrix:
                     return XOperator(x.n, x.nmodes, tuple(terms))
 
                 monkeypatch.setattr(ctm, "build_X", mutated)
-                assert not check_recursion(3, z0, t0, FockTruncation(6)), (alpha, k)
+                report = check_recursion(3, z0, t0, FockTruncation(6))
+                assert not report, (alpha, k)
+                # the failing case names alpha and a nonzero window element
+                [witness] = report.witnesses
+                assert witness.keys() == {"alpha", "element"}, (alpha, k)
+                assert witness["alpha"] == alpha, (alpha, k)
+                assert witness["element"]["value"] != 0, (alpha, k)
                 assert not recursion_by_composition(3, z0, t0, 6), (alpha, k)
 
 

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every
-module-level function, class and method of the package is used in it.
+"""Every name a module imports is used in that module, every
+module-level function, class and method of the package is used in it,
+and the package's core modules import only the modules they may.
 
 Stdlib `ast` scans.  The import scan covers `src/asepx` and `tests`; the
 package `__init__.py` files are exempt, because their imports are
@@ -121,3 +122,38 @@ def test_scan_flags_an_unused_definition():
         ),
     }
     assert unused_definitions(sources) == ["core:Box.word_for", "core:dead"]
+
+
+# the package modules each core module imports: the three stationary
+# constructions (kernel in asep_core, queues in mlq, traces in ctm) share
+# only asep_core and scalar, so each stays an oracle for the others
+PACKAGE_IMPORTS = {
+    "scalar": set(),
+    "asep_core": {"scalar"},
+    "oscillator": {"scalar"},
+    "mlq": {"asep_core", "scalar"},
+    "ctm": {"asep_core", "oscillator", "scalar"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The sibling modules a package module imports by relative imports."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out |= {a.name for a in node.names}
+    return out
+
+
+@pytest.mark.parametrize("module", list(PACKAGE_IMPORTS))
+def test_core_modules_import_only_their_layers(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert package_imports(source) == PACKAGE_IMPORTS[module]
+
+
+def test_scan_reads_relative_imports():
+    source = "from .scalar import P\nfrom . import mlq\nfrom fractions import Fraction\n"
+    assert package_imports(source) == {"scalar", "mlq"}
