@@ -57,7 +57,7 @@ from .ctm import (
     build_X,
     mp_stationary,
 )
-from .mlq import m_element, mlq_state
+from .mlq import m_parts, mlq_state
 from .oscillator import (
     AMINUS,
     APLUS,
@@ -71,9 +71,11 @@ from .oscillator import (
     _window_report,
     multimode_words_mul,
     normal_order,
-    s_element,
+    s_parts,
 )
-from .scalar import P, Poly, RatFunc, RF_ONE, RF_ZERO, random_point, residue, signed_residue
+from .scalar import (
+    P, Poly, RatFunc, RF_ONE, RF_ZERO, over_common_map, random_point, residue, signed_residue,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +516,10 @@ def check_ms_theorem(trials: int, seed: int) -> CheckReport:
 
     Each instance draws rows (i, j) and an admissible image a, then
     compares the two elements symbolically in t at several rational q.
+    Both sides are numerators over exponent maps of prod_k (1 - q t^k)
+    (`m_parts`, `s_parts`), compared by cross-multiplication with no gcd:
+    they are equal in Q(t) iff their numerators lifted to one common map
+    by `over_common_map` are.
     """
     rng = random.Random(seed)
     witnesses = []
@@ -532,9 +538,8 @@ def check_ms_theorem(trials: int, seed: int) -> CheckReport:
         b = tuple(j[c] - a[c] for c in range(L))
         for k in range(MS_QS_PER_INSTANCE):
             q = random_point(seed * 100003 + done * 17 + k)
-            lhs = m_element(q, i, j, a, b)
-            rhs = s_element(q, i, j, a, b)
-            if lhs != rhs:
+            nums, _ = over_common_map(q, {0: m_parts(q, i, j, a, b), 1: s_parts(q, i, j, a, b)})
+            if nums[0] != nums[1]:
                 witnesses.append({"L": L, "i": i, "j": j, "a": a, "q": q})
         done += 1
     return CheckReport(

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable
 
@@ -201,11 +202,12 @@ def cmd_dump_x(args) -> int:
 
 def cmd_dump_mlq(args) -> int:
     m = _sector_multiplicity(args)
+    weight_json = lru_cache(maxsize=None)(RatFunc.to_json)  # queues share their weights
     queues = (
         {
-            "rows": ["".join(str(b) for b in row) for row in rec.rows],
+            "rows": ["".join(map(str, row)) for row in rec.rows],
             "arrows": [list(a) for a in rec.arrows],
-            "weight": rec.weight.to_json(),
+            "weight": weight_json(rec.weight),
             "config": _config_str(rec.config),
         }
         for rec in iter_mlqs(m, args.q)

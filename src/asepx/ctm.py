@@ -253,7 +253,9 @@ def check_recursion(
     One case per alpha, X_alpha minus sum_i X~_i T_{i alpha} at the
     residues of (z0, t0), run by `oscillator._window_report`.  Every term
     has coefficient 1 and z-degree at most n, so the degree bounds are n
-    in z and, in t, the Fock action's 2 nmodes (window + 2) alone.
+    in z and, in t, the Fock action's 2 nmodes (window + 2) alone.  Both
+    sides come from the same `build_T`, so this tests only `build_X`'s
+    loop over T, not T itself; rtt is the check that tests T against R.
     """
     z, t = residue(z0), residue(t0)
     tmat = build_T(n)

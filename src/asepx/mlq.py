@@ -19,21 +19,27 @@ a `SectorVector`, canonicalized from its numerators alone.
 The enumerative definition of the pairing rule (`enumerate_pairings`,
 `pairing_weight`) lists the pairings of one row pair one by one, and
 `iter_mlqs` walks whole queues round by round over it; these are the
-independent oracle of the operator form and the source of `dump-mlq`.
+independent oracle of the operator form and the source of `dump-mlq`;
+queue weights stay factored (`Weight`) until `_weight_ratfunc` reduces them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import mul
 from typing import Iterator, Optional
 
 from .asep_core import Config, Multiplicity, SectorBasis, SectorVector
-from .scalar import P_ONE, Poly, RatFunc, RF_ONE, RF_ZERO, one_minus_qtk, qt_product
+from .scalar import P_ONE, P_ZERO, Poly, RatFunc, RF_ZERO, one_minus_qtk, qt_product
 
 Row = tuple[int, ...]
+
+#: a queue weight, factored: coeff t^tpow (1-t)^len(factors) / prod (1 - qe t^j), (qe, j) in factors
+Weight = tuple[Fraction, int, tuple[tuple[Fraction, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -132,33 +138,43 @@ def enumerate_pairings(i: Row, j: Row) -> tuple[PairingOutcome, ...]:
     return tuple(outcomes)
 
 
-@lru_cache(maxsize=None)
-def pairing_weight(p: PairingOutcome, qeff: Fraction) -> RatFunc:
+def pairing_weight(p: PairingOutcome, qeff: Fraction) -> Weight:
     """Product over non-trivial steps of (1-t) t^skipped qeff^wrapped / (1 - qeff t^free)."""
-    total = RF_ONE
-    for step in p.steps:
-        if step.trivial:
-            continue
-        num = Poly((1, -1)).shift(step.skipped).scale(qeff**step.wrapped)
-        total = total * RatFunc(num, one_minus_qtk(qeff, step.free))
-    return total
+    steps = [s for s in p.steps if not s.trivial]
+    return (qeff ** sum(s.wrapped for s in steps), sum(s.skipped for s in steps),
+            tuple((qeff, s.free) for s in steps))
+
+
+# keyed by q, like `_pairing_images`: (1,1,1,1,1) has 604 distinct weights at a generic q
+@lru_cache(maxsize=4096)
+def _weight_ratfunc(w: Weight) -> RatFunc:
+    """The reduced `RatFunc` of a weight with sorted factors, built with no gcd: each
+    factor at qe = 1 cancels one (1 - t), as (1 - t) / (1 - t^j) = 1 / [j]_t.  Nothing
+    else cancels: the numerator vanishes only at 0 and 1, no 1 - qe t^j vanishes at 0,
+    only those at qe = 1 vanish at 1, and [j]_t vanishes at neither."""
+    coeff, tpow, factors = w
+    den = reduce(mul, (Poly((1,) * j) if qe == 1 else one_minus_qtk(qe, j)
+                       for qe, j in factors), P_ONE)
+    omt = len(factors) - sum(qe == 1 for qe, _ in factors)
+    inv = Fraction(1) / den.leading()
+    num = (Poly((1, -1)) ** omt).shift(tpow).scale(coeff * inv)
+    return RatFunc._of(num, den.scale(inv)) if num else RF_ZERO
+
+
+def m_parts(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> tuple[Poly, Counter]:
+    """`m_element` as (numerator, exponent map {k: 1} of `pairing_denominator`),
+    read from `_pairing_images`; (0, {}) unless a is an image with a + b = j."""
+    if not (len(i) == len(j) == len(a) == len(b)):
+        raise ValueError("row length mismatch")
+    nums = dict(_pairing_images(q, i, j)) if all(x + y == z for x, y, z in zip(a, b, j)) else {}
+    exps = range(sum(j) - sum(i) + 1, sum(j) + 1) if a in nums else ()
+    return nums.get(a, P_ZERO), Counter(exps)
 
 
 def m_element(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> RatFunc:
-    """Generating function of pairing weights with paired image exactly a.
-
-    Vanishes unless a + b = j entrywise.  Read from `_pairing_images`,
-    whose numerator for image a sits over `pairing_denominator`.
-    """
-    L = len(i)
-    if not (len(j) == len(a) == len(b) == L):
-        raise ValueError("row length mismatch")
-    if any(a[c] + b[c] != j[c] for c in range(L)):
-        return RF_ZERO
-    for image, num in _pairing_images(q, i, j):
-        if image == a:
-            return RatFunc(num, pairing_denominator(q, sum(i), sum(j)))
-    return RF_ZERO
+    """Generating function of pairing weights with paired image a: `m_parts`, reduced."""
+    num, exps = m_parts(q, i, j, a, b)
+    return RatFunc(num, qt_product(q, exps))
 
 
 def pairing_denominator(qeff: Fraction, li: int, lj: int) -> Poly:
@@ -351,13 +367,15 @@ def iter_mlqs(
     uncolored balls of row c take color c and climb to row 1: from row r
     to row r-1 they pair into the free balls of row r-1 by
     `enumerate_pairings`, weighted by `pairing_weight` at deformation
-    q^(c - r + 1).  The balls of row 1 left free take color 1.  With
-    `ball_system` given, only the queues over that one ball diagram are
-    produced.
+    q^(c - r + 1); `_weight_ratfunc` reduces the product.  The balls of
+    row 1 left free take color 1.  With `ball_system` given, only the
+    queues over that one ball diagram are produced.
     """
     if not m.is_basic:
         raise ValueError("sector must be basic")
     stacks = [ball_system.rows] if ball_system is not None else _ball_systems(m)
+    qpow = [q**k for k in range(m.n + 1)]
+    moves: dict = {}  # (row, upper row, r, deformation) -> its pairings, walked once per call
     for stack in stacks:
 
         def climb(c, r, row, free, sigma, arrows, weight):
@@ -365,22 +383,21 @@ def iter_mlqs(
             if r == 1:
                 sigma = tuple(c if b else s for b, s in zip(row, sigma))
                 if c == 1:
-                    yield MLQRecord(stack, arrows, weight, sigma)
+                    canonical = (weight[0], weight[1], tuple(sorted(weight[2])))
+                    yield MLQRecord(stack, arrows, _weight_ratfunc(canonical), sigma)
                 else:
                     yield from climb(c - 1, c - 1, free[c - 1], free, sigma, arrows, weight)
                 return
-            qeff = q ** (c - r + 1)
-            for p in enumerate_pairings(row, free[r - 1]):
-                left = tuple(f - b for f, b in zip(free[r - 1], p.target))
-                yield from climb(
-                    c,
-                    r - 1,
-                    p.target,
-                    free[:r - 1] + (left,) + free[r:],
-                    sigma,
-                    arrows + tuple((s.src, s.tgt, r) for s in p.steps),
-                    weight * pairing_weight(p, qeff),
-                )
+            key = (row, free[r - 1], r, c - r + 1)
+            if key not in moves:
+                moves[key] = [(p.target, tuple(f - b for f, b in zip(free[r - 1], p.target)),
+                               tuple((s.src, s.tgt, r) for s in p.steps),
+                               pairing_weight(p, qpow[c - r + 1]))
+                              for p in enumerate_pairings(row, free[r - 1])]
+            for target, left, steps, (coeff, tpow, factors) in moves[key]:
+                paired = (weight[0] * coeff, weight[1] + tpow, weight[2] + factors)
+                yield from climb(c, r - 1, target, free[:r - 1] + (left,) + free[r:], sigma,
+                                 arrows + steps, paired)
 
         free = (None,) + stack[::-1]  # free[r] is row r, stack[n - r]
-        yield from climb(m.n, m.n, free[m.n], free, (0,) * m.L, (), RF_ONE)
+        yield from climb(m.n, m.n, free[m.n], free, (0,) * m.L, (), (Fraction(1), 0, ()))

@@ -70,6 +70,7 @@ ModeWords = tuple[OscWord, ...]
 
 # a term with its coefficient as a residue mod P
 EvalTerm = tuple[int, ModeWords]
+Row = tuple[int, ...]  # a 0/1 row of ball sites, as in `mlq`
 
 
 class UnbalancedWordError(ValueError):
@@ -248,33 +249,29 @@ def s_weight(i: int, a: int, j: int, b: int) -> Optional[OscWord]:
     return None
 
 
-def s_element(
-    q: Fraction,
-    i: tuple[int, ...],
-    j: tuple[int, ...],
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-) -> RatFunc:
-    """Two-row transfer element as a single oscillator trace.
-
-    (1 - q t^{m-l}) tr(q^h S^{a1 b1}_{i1 j1} ... S^{aL bL}_{iL jL}) for
-    rows with l = |i| balls below and m = |j| above, l < m.  Vanishes
-    unless a + b = j sitewise.
-    """
-    L = len(i)
-    if not (len(j) == len(a) == len(b) == L):
+def s_parts(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> tuple[Poly, Counter]:
+    """`s_element` as (numerator, exponent map of prod_k (1 - q t^k)): the
+    `trace_sum` of the word, with 1 - q t^{m-l} folded in."""
+    if not (len(i) == len(j) == len(a) == len(b)):
         raise ValueError("row length mismatch")
     l, m = sum(i), sum(j)
     if l >= m:
         raise ValueError("need l < m")
-    word: list[str] = []
-    for r in range(L):
-        wr = s_weight(i[r], a[r], j[r], b[r])
-        if wr is None:
-            return RatFunc(P_ZERO)
-        word.extend(wr)
-    num, exps = trace_sum({(pem,): c for pem, c in normal_order(tuple(word)).items()}, q)
-    return RatFunc(num * one_minus_qtk(q, m - l), qt_product(q, exps))
+    weights = [s_weight(*bits) for bits in zip(i, a, j, b)]
+    if None in weights:
+        return P_ZERO, Counter()
+    num, exps = trace_sum({(pem,): c for pem, c in normal_order(sum(weights, ())).items()}, q)
+    if exps[m - l]:  # 1 - q t^{m-l} cancels a factor of the trace's own map
+        return num, exps - Counter({m - l: 1})
+    return num * one_minus_qtk(q, m - l), exps
+
+
+def s_element(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> RatFunc:
+    """Two-row transfer element as a single oscillator trace: (1 - q t^{m-l})
+    tr(q^h S^{a1 b1}_{i1 j1} ... S^{aL bL}_{iL jL}) for rows with l = |i| balls
+    below and m = |j| above, l < m (`s_parts`, reduced).  Vanishes unless a + b = j."""
+    num, exps = s_parts(q, i, j, a, b)
+    return RatFunc(num, qt_product(q, exps))
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,14 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    @staticmethod
+    def _of(num: Poly, den: Poly) -> "RatFunc":
+        """A RatFunc of a fraction already reduced, with a monic denominator."""
+        out = object.__new__(RatFunc)
+        for name, value in zip(RatFunc.__slots__, (num, den, None)):
+            object.__setattr__(out, name, value)
+        return out
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -337,13 +345,7 @@ class RatFunc:
         )
 
     def __neg__(self) -> "RatFunc":
-        if self.num.is_zero():
-            return self
-        out = RatFunc.__new__(RatFunc)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return RatFunc._of(-self.num, self.den)  # zero stays over den 1
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)

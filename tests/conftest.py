@@ -138,6 +138,16 @@ def rf(num, den=None) -> RatFunc:
     return RatFunc(num, den)
 
 
+def weight_rf(w) -> RatFunc:
+    """Oracle: the RatFunc of a factored queue weight (coeff, tpow, factors),
+    coeff t^tpow (1 - t)^len(factors) / prod (1 - qe t^j), reduced by gcd."""
+    coeff, tpow, factors = w
+    den = P_ONE
+    for qe, j in factors:
+        den = den * Poly((1,) + (0,) * (j - 1) + (-qe,))
+    return RatFunc((one_minus_t_pow(1) ** len(factors)).shift(tpow).scale(coeff), den)
+
+
 def local_markov(n: int) -> list[list[Poly]]:
     """Dense two-site generator on the basis |a,b> ordered lexicographically.
 

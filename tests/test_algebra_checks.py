@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -61,6 +62,10 @@ def _doubled_hat_term(alpha, k):
         return doubled
 
     return wrap
+
+
+def _s_weight_0011_is_one(exact):
+    return lambda *key: () if key == (0, 0, 1, 1) else exact(*key)
 
 
 class TestRMatrix:
@@ -308,6 +313,26 @@ class TestMSTheorem:
         report = check_ms_theorem(40, seed=5)
         assert report.passed and report.trials == 40
 
+    def test_pairing_side_makes_no_gcd(self, monkeypatch):
+        import asepx.asep_core as core
+        import asepx.mlq as mlq
+        import asepx.scalar as scalar
+
+        calls = []
+        gcd = scalar.poly_gcd
+
+        def counted(*args):
+            calls.append(1)
+            return gcd(*args)
+
+        monkeypatch.setattr(scalar, "poly_gcd", counted)
+        monkeypatch.setattr(core, "poly_gcd", counted)
+        for cached in (trace_pem, _pairing_images, mlq._weight_ratfunc):
+            cached.cache_clear()
+        assert run_check("ms-theorem", trials=200, seed=2024).passed
+        assert len(list(mlq.iter_mlqs(Multiplicity((2, 1, 1, 1)), Fraction(2, 5)))) > 0
+        assert calls == []
+
     def test_q_keyed_caches_stay_bounded(self):
         # each instance draws a fresh q, so what it caches is never read again
         run_check("ms-theorem", trials=200, seed=2024)
@@ -476,8 +501,10 @@ class TestRunCheck:
 
 # sha256 of json.dumps(report.to_json(), sort_keys=True), recorded once
 # the point checks ran mod P (their notes say so, and witness values are
-# signed residues, of least absolute value); the mutated runs fail, so
-# their digests pin the witnesses a failing report carries
+# signed residues, of least absolute value), and the ms-theorem digests
+# while it still compared reduced RatFuncs; the mutated runs fail, so
+# their digests pin the witnesses a failing report carries.  A mutation
+# names an attribute of `algebra_checks`, or "module.attribute" of asepx
 GOLDEN_REPORTS = {
     "rtt": (
         None,
@@ -524,17 +551,27 @@ GOLDEN_REPORTS = {
         {"kind": "hat", "n": 2, "trials": 2},
         "d9535c58014ec3153ad9c909669b4d3cf38e100e9debf8a6aad477cb8fb5fc05",
     ),
+    "ms-theorem": (
+        None,
+        {"kind": "ms-theorem", "trials": 200, "seed": 2024},
+        "5509e1474f8d33fde0d573dfc65044b20dd07316e53d8cd60bb6c39622dc02d9",
+    ),
+    "ms-theorem-s-weight-0011-is-one": (
+        ("oscillator.s_weight", _s_weight_0011_is_one),
+        {"kind": "ms-theorem", "trials": 200, "seed": 2024},
+        "e5e90f3f460fc65ded0d2a4a755d7ac8c9dcca204028c8e51ff3f2ef6bb79016",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_REPORTS))
 def test_report_matches_the_recorded_digest(monkeypatch, case):
-    import asepx.algebra_checks as checks
-
     mutation, kwargs, expected = GOLDEN_REPORTS[case]
     if mutation is not None:
         name, wrap = mutation
-        monkeypatch.setattr(checks, name, wrap(getattr(checks, name)))
+        owner, _, attr = name.rpartition(".")
+        module = importlib.import_module(f"asepx.{owner or 'algebra_checks'}")
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
     report = run_check(**kwargs)
     assert report.passed == (mutation is None)
     data = json.dumps(report.to_json(), sort_keys=True).encode()

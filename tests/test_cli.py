@@ -182,6 +182,24 @@ class TestDumpCommands:
             assert 0 <= src < 3 and 0 <= tgt < 3 and row >= 2
 
 
+# sha256 of `dump-mlq --format text` stdout, recorded while iter_mlqs still
+# multiplied reduced RatFuncs
+DUMP_MLQ_TEXT_DIGESTS = {
+    ("1,2,1", "1"): "a148271313ba5a3c59d36251809fe84f54f19f8658709575801e5671e4777761",
+    ("1,2,1", "-1"): "035494c1ff8514fe87aaef25425175759d0cb18fa0afa238e64cbc8ac2f43b0b",
+    ("1,2,1", "1/3"): "1ff476bdc75ef483f15be5df7de8d20767b4d7fe33fb654ce72ee6f6e464da88",
+    ("1,2,1", "2/5"): "33b00433cedf1dc5d2ca8e37cc4cc0e58e014ed9f938d8e95d7ec95eac213d77",
+    ("2,1,1,1", "1"): "c319799e461d54a43a1618ccbe4b1f6e19f5cc4963d739fe95ed9a6b7c8c71ab",
+    ("2,1,1,1", "-1"): "46df26358107b194038a08b5cdcd8b01ce5befbf46eb8845fba79c6cb5049959",
+    ("2,1,1,1", "1/3"): "69a887fcefc18b473dfea4bb37473f46086a51cbb92ce933f4624a897596ac38",
+    ("2,1,1,1", "2/5"): "710e19642571ae1ea845c4788cc772b9a022556947e90d290894be13fed85bd7",
+    ("2,2,1", "1"): "59e99ea83022b793fc0f839c939dfc592dc40e24a18d74be1dc98082db1e0a2e",
+    ("2,2,1", "-1"): "d2b9130ebbb632d5602a6753768c713a0a8d60c437426c8bbb166a19f1c865b2",
+    ("2,2,1", "1/3"): "a32c1b4d0a9a27977d9135ba567b4eef2e81008559285d04bcc3a4b5e1a36c0c",
+    ("2,2,1", "2/5"): "d65f8904610fc5c55c97ce71e11e8a5fa79b94bf71ef8e1f3b4185a947a12700",
+}
+
+
 class TestStreamedOutput:
     """dump-mlq writes its records one by one; the bytes are those of one json.dumps."""
 
@@ -209,6 +227,13 @@ class TestStreamedOutput:
         code, out = _capture(capsys, argv + ["--format", "text"])
         assert code == 0
         assert out == "".join(f"{k}: {v}\n" for k, v in payload.items())
+
+    @pytest.mark.parametrize("case", list(DUMP_MLQ_TEXT_DIGESTS), ids="@".join)
+    def test_dump_mlq_text_matches_the_recorded_digest(self, capsys, case):
+        mult, q = case
+        code, out = _capture(capsys, ["dump-mlq", "--mult", mult, "--q", q, "--format", "text"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DUMP_MLQ_TEXT_DIGESTS[case]
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("items", [[], [{"b": [1, 2], "a": "x"}], [{"a": 1}, {"a": []}]])

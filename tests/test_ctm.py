@@ -25,6 +25,8 @@ from asepx.ctm import (
     mp_trace,
 )
 from asepx.oscillator import (
+    APLUS,
+    K,
     DivergentTraceError,
     FockTruncation,
     mul_word,
@@ -248,6 +250,32 @@ class TestXMatrix:
                 assert witness["alpha"] == alpha, (alpha, k)
                 assert witness["element"]["value"] != 0, (alpha, k)
                 assert not recursion_by_composition(3, z0, t0, 6), (alpha, k)
+
+
+    def test_recursion_cannot_see_a_wrong_column_operator_but_rtt_does(self, monkeypatch):
+        # both sides of the recursion come from the same build_T, so a wrong
+        # T entry passes it; rtt tests T against R and fails
+        import asepx.algebra_checks as checks
+        from asepx.algebra_checks import run_check
+
+        exact = ctm.build_T
+
+        def mutated(n):
+            entries = exact(n)
+            if n == 3:
+                term = entries[(0, 1)]
+                entries[(0, 1)] = XTerm(term.zdeg, ((APLUS, APLUS),) + term.words[1:])
+            return entries
+
+        assert exact(3)[(0, 1)].words[0] == (K,)
+        monkeypatch.setattr(ctm, "build_T", mutated)
+        monkeypatch.setattr(checks, "build_T", mutated)
+        build_X.cache_clear()
+        try:
+            assert check_recursion(3, Fraction(2, 3), Fraction(1, 5), FockTruncation(6)).passed
+            assert not run_check("rtt", n=3, trials=2).passed
+        finally:
+            build_X.cache_clear()
 
 
 class TestMpTrace:

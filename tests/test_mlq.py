@@ -22,6 +22,7 @@ from asepx.mlq import (
     PairStep,
     _apply_mcheck_at,
     _pairing_images,
+    _weight_ratfunc,
     bigM_apply,
     enumerate_pairings,
     iter_mlqs,
@@ -35,7 +36,7 @@ from asepx.mlq import (
 from asepx.oscillator import s_element
 from asepx.scalar import Poly, RatFunc, random_point
 
-from conftest import mlq_enumerate_direct, one_minus_t_pow, poly, rf
+from conftest import mlq_enumerate_direct, one_minus_t_pow, poly, rf, weight_rf
 
 
 def _weight_table(i, j, order, qeff):
@@ -168,7 +169,7 @@ class TestPairingImages:
         i, j = rows
         brute = {}
         for outcome in enumerate_pairings(i, j):
-            w = pairing_weight(outcome, q)
+            w = weight_rf(pairing_weight(outcome, q))
             brute[outcome.target] = brute.get(outcome.target, RatFunc(Poly())) + w
         den = pairing_denominator(q, sum(i), sum(j))
         dp = {image: RatFunc(num, den) for image, num in _pairing_images(q, i, j)}
@@ -189,12 +190,25 @@ class TestPairingImages:
         assert pairing_denominator(q, 0, 4) == poly(1)
 
 
+_factors = st.lists(st.tuples(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(0), Fraction(2, 5), Fraction(-3)]),
+    st.integers(1, 6),
+), max_size=5)
+
+
 class TestPairingWeight:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([Fraction(0), Fraction(1), Fraction(-4, 9)]), st.integers(0, 4), _factors)
+    def test_reduction_matches_the_gcd_oracle(self, coeff, tpow, factors):
+        # cancelling one (1 - t) per factor at qe = 1 is the full reduction
+        w = (coeff, tpow, tuple(sorted(factors)))
+        assert _weight_ratfunc(w) == weight_rf(w)
+
     def test_all_trivial_is_one(self):
         p = PairingOutcome(
             (1, 1, 0), (PairStep(0, 0, 0, 0, 2, 1), PairStep(1, 1, 0, 0, 1, 1))
         )
-        assert pairing_weight(p, Fraction(1)) == rf(poly(1))
+        assert pairing_weight(p, Fraction(1)) == (1, 0, ())
 
     def test_wrapped_step_formula(self):
         # one step with wrapped=1, skipped=a+b, free=a+b+1 weighs
@@ -206,7 +220,7 @@ class TestPairingWeight:
             )
             num = one_minus_t_pow(1).shift(a + b).scale(q)
             den = Poly((1,) + (0,) * (a + b) + (-q,))
-            assert pairing_weight(p, q) == RatFunc(num, den)
+            assert weight_rf(pairing_weight(p, q)) == RatFunc(num, den)
 
     def test_example_queue_weights(self):
         # the four labelled non-trivial pairings of the nine-column
@@ -307,7 +321,7 @@ class TestMcheckApply:
                 total = total + RatFunc(v, den)
             brute = RatFunc(Poly())
             for outcome in enumerate_pairings(i, j):
-                brute = brute + pairing_weight(outcome, q)
+                brute = brute + weight_rf(pairing_weight(outcome, q))
             assert total == brute
 
 
@@ -506,6 +520,25 @@ class TestQueueTraceIdentity:
         assert _trace_state(m, q) == mlq_state(m, q).values
 
 
+def _records_digest(qs):
+    """sha256 over every record of iter_mlqs on three sectors, in order."""
+    digest = hashlib.sha256()
+    for counts in [(1, 2, 1), (2, 1, 1, 1), (2, 2, 1)]:
+        for q in qs:
+            for rec in iter_mlqs(Multiplicity(counts), q):
+                record = [rec.rows, rec.arrows, rec.weight.to_json(), rec.config]
+                digest.update(json.dumps(record).encode())
+    return digest.hexdigest()
+
+
+# recorded while iter_mlqs still multiplied reduced RatFuncs; at q = -1 the
+# rank-3 sectors also pair at q^2 = 1, where (1 - t) cancels
+RECORD_DIGESTS = {
+    Fraction(-1): "64ab962d7af5b0eef6bef50907cc18c7e2b9b41d6fb2243f2bcb1c8353556e83",
+    Fraction(1, 3): "7919e171824b327e765902d13100daa7467c6b9f733e27697c0cee549762884f",
+}
+
+
 class TestDirectEnumeration:
     @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)])
     def test_agrees_with_operator_pipeline(self, counts):
@@ -529,17 +562,27 @@ class TestDirectEnumeration:
         assert set(direct.values.values()) == {rf(poly(1))}
 
     def test_records_match_the_recorded_digest(self):
-        # sha256 over every record of iter_mlqs, in order, recorded before
-        # iter_mlqs walked the rounds over `enumerate_pairings`
-        digest = hashlib.sha256()
-        for counts in [(1, 2, 1), (2, 1, 1, 1), (2, 2, 1)]:
-            for q in (Fraction(1), Fraction(2, 5)):
-                for rec in iter_mlqs(Multiplicity(counts), q):
-                    record = [rec.rows, rec.arrows, rec.weight.to_json(), rec.config]
-                    digest.update(json.dumps(record).encode())
-        assert digest.hexdigest() == (
+        # recorded before iter_mlqs walked the rounds over `enumerate_pairings`
+        assert _records_digest((Fraction(1), Fraction(2, 5))) == (
             "3ecc0573099435d02e55c958f6b7ae9cf61f2f8051827592aa00a2e1e1c85e66"
         )
+
+    @pytest.mark.parametrize("q", list(RECORD_DIGESTS))
+    def test_records_at_more_q_match_the_recorded_digest(self, q):
+        assert _records_digest((q,)) == RECORD_DIGESTS[q]
+
+    def test_cancelling_against_minus_one_breaks_the_digest(self, monkeypatch):
+        # a wrong rule that also cancels (1 - t) against factors at qe = -1,
+        # as if 1 + t^j were 1 - t^j, changes the records at q = -1 (where
+        # every qe is 1 or -1, so abs changes exactly the factors at -1)
+        exact = mlq_module._weight_ratfunc
+
+        def wrong(w):
+            coeff, tpow, factors = w
+            return exact((coeff, tpow, tuple(sorted((abs(qe), j) for qe, j in factors))))
+
+        monkeypatch.setattr(mlq_module, "_weight_ratfunc", wrong)
+        assert _records_digest((Fraction(-1),)) != RECORD_DIGESTS[Fraction(-1)]
 
     def test_queues_are_walked_over_enumerate_pairings(self, monkeypatch):
         # (1,2,1) has 4 * 4 ball diagrams and one row step each, and every
