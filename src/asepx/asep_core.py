@@ -2,10 +2,11 @@
 
 Configurations are tuples of site values in {0..n}; the Markov matrix
 acts within each sector of fixed particle content.  The stationary
-vector is computed by fraction-free elimination in the ring of
-polynomials in t, on the quotient by cyclic shifts, canonically
-normalized to an integer polynomial vector of content 1, and certified
-by an exact H v = 0 check on that canonical vector.
+vector is solved on the quotient by cyclic shifts, by evaluation at
+integer points mod P = 2**61 - 1 and interpolation in t, lifted to an
+integer polynomial vector that must annihilate the quotient exactly,
+canonically normalized to content 1, and certified by an exact H v = 0
+check on that canonical vector.
 
 A continuous-time simulator with exponential waiting times serves as a
 statistical oracle for the exact results.
@@ -18,10 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import inf
+from math import inf, log
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
-from .scalar import P_ONE, P_ZERO, Poly, RatFunc, content, poly_gcd, primitive
+from .scalar import (P, P_ONE, P_ZERO, Poly, RatFunc, cauchy_interpolate_mod_p, content,
+                     eval_mod_p, interpolate_mod_p, lift_polys, null_vector_mod_p, poly_gcd,
+                     primitive)
 
 Config = tuple[int, ...]
 
@@ -121,8 +125,7 @@ def markov_sector(
     if basis is None:
         basis = SectorBasis(m)
     L = m.L
-    mat: dict[tuple[int, int], Poly] = {}
-    t = Poly((0, 1))
+    counts: dict[tuple[int, int], list[int]] = {}  # entry -> coefficients of 1 and t
     for col, sigma in enumerate(basis.configs):
         for i in range(L):
             a, b = sigma[i], sigma[(i + 1) % L]
@@ -130,78 +133,67 @@ def markov_sector(
                 continue
             target = list(sigma)
             target[i], target[(i + 1) % L] = b, a
-            rate = t if a < b else P_ONE
+            k = int(a < b)  # the rate is t**k
             # rates are positive, so no entry cancels to zero
-            row = basis.index[tuple(target)]
-            mat[row, col] = mat.get((row, col), P_ZERO) + rate
-            mat[col, col] = mat.get((col, col), P_ZERO) - rate
-    return mat
+            counts.setdefault((basis.index[tuple(target)], col), [0, 0])[k] += 1
+            counts.setdefault((col, col), [0, 0])[k] -= 1
+    return {key: Poly(c) for key, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
-# exact kernel solver
+# kernel solver: evaluation and interpolation mod P, certified exactly
+
 
 def _kernel_vector(rows: list[dict[int, Poly]], dim: int) -> list[Poly]:
     """Unique (up to scale) kernel vector of the row system, else KernelError.
 
-    Fraction-free elimination in the polynomial ring: Bareiss pivoting
-    (lowest-degree pivot, exact divisions by the previous pivot), then
-    back-substitution from x_last = the last pivot.  That choice makes
-    the solution the vector of maximal minors (Cramer's rule), so every
-    division of the back-substitution is exact too; a remainder raises.
+    At t = 2, 3, ... the rows are solved over GF(P), each solution scaled
+    to 1 at one entry, the anchor.  A point of rank dim proves the kernel
+    zero, one of rank dim - 1 proves rank >= dim - 1 over Q(t); points of
+    lower rank are skipped, and if the first D + 1 points all are, the
+    rank is below dim - 1, since D, the sum of the rows' largest degrees,
+    bounds every (dim - 1)-minor.  A random combination of the solutions
+    is fitted as a fraction in t (Cauchy interpolation) to all points but
+    the last two.  Once `_fit_holds` on those two, each entry times the
+    fit's denominator is interpolated and lifted to an integer polynomial.
+    The lift is returned only if it annihilates the rows exactly; else more
+    points are taken, up to 2D + 3.
     """
-    mat = [[row.get(c, P_ZERO) for c in range(dim)] for row in rows]
-    nrows = len(mat)
-    col_perm = list(range(dim))
-    prev = P_ONE
-    rank = 0
-    for k in range(min(nrows, dim)):
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, dim):
-                p = mat[i][j]
-                if p.is_zero():
-                    continue
-                key = (p.degree, i, j)
-                if best is None or key < best:
-                    best = (p.degree, i, j)
-        if best is None:
+    bound = sum(max((p.degree for p in row.values()), default=0) for row in rows)
+    rng = random.Random(dim)
+    weights = [rng.randrange(1, P) for _ in range(dim)]  # so no entry's degree cancels
+    xs, sols, probes, anchor = [], [], [], None
+    for t in range(2, 4 * bound + 6):  # at most D lower ranks and D zeros of the anchor
+        mat = [[row[c].residue_at(t) if c in row else 0 for c in range(dim)] for row in rows]
+        nullity, x = null_vector_mod_p(mat, dim)
+        if nullity == 0:
+            raise KernelError("kernel dimension 0 != 1")
+        if nullity > 1 or (anchor is not None and not x[anchor]):
+            if not xs and t - 1 > bound:
+                raise KernelError("kernel dimension > 1 at the first D + 1 points")
+            continue
+        if anchor is None:
+            anchor = next(j for j, v in enumerate(x) if v)
+        inv = pow(x[anchor], -1, P)
+        xs.append(t)
+        sols.append([v * inv % P for v in x])
+        probes.append(sum(map(mul, weights, sols[-1])) % P)
+        fit = cauchy_interpolate_mod_p(xs[:-2], probes[:-2]) if len(xs) > 2 else None
+        if fit and _fit_holds(fit, xs[-2:], probes[-2:]):
+            dens = [eval_mod_p(fit[1], x) for x in xs]
+            scaled = [[v * d % P for v in sol] for sol, d in zip(sols, dens)]
+            vec = lift_polys(interpolate_mod_p(xs, scaled))
+            terms = ((r, p, vec[c]) for r, row in enumerate(rows) for c, p in row.items())
+            if vec is not None and not _nonzero_rows(terms, len(rows)):
+                return vec
+        if len(xs) >= 2 * bound + 3:
             break
-        _, bi, bj = best
-        mat[k], mat[bi] = mat[bi], mat[k]
-        if bj != k:
-            for r in mat:
-                r[k], r[bj] = r[bj], r[k]
-            col_perm[k], col_perm[bj] = col_perm[bj], col_perm[k]
-        piv = mat[k][k]
-        for i in range(k + 1, nrows):
-            head = mat[i][k]
-            for j in range(k + 1, dim):
-                mat[i][j] = _exact_div(piv * mat[i][j] - head * mat[k][j], prev)
-            mat[i][k] = P_ZERO
-        prev = piv
-        rank = k + 1
-    if rank != dim - 1:
-        raise KernelError(f"kernel dimension {dim - rank} != 1")
-    vec_perm: list[Poly] = [P_ZERO] * dim
-    vec_perm[dim - 1] = prev
-    for i in range(rank - 1, -1, -1):
-        acc = P_ZERO
-        for j in range(i + 1, dim):
-            if mat[i][j] and vec_perm[j]:
-                acc = acc + mat[i][j] * vec_perm[j]
-        vec_perm[i] = -_exact_div(acc, mat[i][i])
-    vec = [P_ZERO] * dim
-    for pos, col in enumerate(col_perm):
-        vec[col] = vec_perm[pos]
-    return vec
+    raise KernelError("no lift of the solutions mod P passed the exact residual")
 
 
-def _exact_div(num: Poly, den: Poly) -> Poly:
-    q, r = num.divmod(den)
-    if r:
-        raise AssertionError("fraction-free division left a remainder")
-    return q
+def _fit_holds(fit: tuple[list[int], list[int]], xs: list[int], values: list[int]) -> bool:
+    """The stop test: whether the fitted fraction (num, den) takes the values at xs."""
+    return all(eval_mod_p(fit[0], x) == v * eval_mod_p(fit[1], x) % P for x, v in zip(xs, values))
 
 
 def _orbit_reduced_kernel(mat: dict[tuple[int, int], Poly], basis: SectorBasis) -> list[Poly]:
@@ -210,17 +202,12 @@ def _orbit_reduced_kernel(mat: dict[tuple[int, int], Poly], basis: SectorBasis) 
     reps = sorted(set(rep_of.values()))
     rep_index = {r: i for i, r in enumerate(reps)}
 
-    reduced: list[dict[int, Poly]] = []
-    for rep in reps:
-        r = basis.index[rep]
-        row: dict[int, Poly] = {}
-        for col, sigma in enumerate(basis.configs):
-            v = mat.get((r, col))
-            if v is not None:
-                j = rep_index[rep_of[sigma]]
-                row[j] = row.get(j, P_ZERO) + v
-        reduced.append({j: p for j, p in row.items() if p})
-    wvec = _kernel_vector(reduced, len(reps))
+    reduced: list[dict[int, Poly]] = [{} for _ in reps]  # the rows of the representatives
+    for (r, c), v in mat.items():
+        if (sigma := basis.configs[r]) in rep_index:
+            row, j = reduced[rep_index[sigma]], rep_index[rep_of[basis.configs[c]]]
+            row[j] = row.get(j, P_ZERO) + v
+    wvec = _kernel_vector([{j: p for j, p in row.items() if p} for row in reduced], len(reps))
     return [wvec[rep_index[rep_of[sigma]]] for sigma in basis.configs]
 
 
@@ -233,12 +220,22 @@ def nonzero_residual(
     rates are polynomials, so the sums need no gcd.  An empty list
     certifies that v is a null vector of H.
     """
-    sums = [P_ZERO] * basis.dim
-    for (r, c), h in mat.items():
-        v = values[basis.configs[c]]
+    configs = basis.configs
+    terms = ((r, h, values[configs[c]]) for (r, c), h in mat.items())
+    return [configs[r] for r in _nonzero_rows(terms, basis.dim)]
+
+
+def _nonzero_rows(terms: Iterable[tuple[int, Poly, Poly]], nrows: int) -> list[int]:
+    """The rows r whose sum of the products h * v of their terms (r, h, v) is nonzero."""
+    sums: list[list] = [[] for _ in range(nrows)]
+    for r, h, v in terms:
         if v:
-            sums[r] = sums[r] + h * v
-    return [basis.configs[r] for r, s in enumerate(sums) if s]
+            acc = sums[r]
+            acc.extend([0] * (len(h.coeffs) + len(v.coeffs) - 1 - len(acc)))
+            for i, a in enumerate(h.coeffs):
+                for j, b in enumerate(v.coeffs):
+                    acc[i + j] += a * b
+    return [r for r, s in enumerate(sums) if any(s)]
 
 
 def canonicalize_values(
@@ -271,9 +268,11 @@ def canonicalize_values(
     scale = content(polys)
     if next(p for p in polys if not p.is_zero()).leading() < 0:
         scale = -scale
+    if scale != 1:
+        polys = [p.scale(1 / scale) for p in polys]
     shared: dict[Fraction, Fraction] = {}
     return {
-        c: Poly([shared.setdefault(x, x) for x in (a / scale for a in p.coeffs)])
+        c: Poly._of(tuple(shared.setdefault(x, x) for x in p.coeffs))
         for c, p in zip(basis.configs, polys)
     }
 
@@ -298,8 +297,8 @@ class SectorVector:
 def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     """The unique stationary vector of the sector, canonically normalized.
 
-    Fraction-free elimination in the polynomial ring on the cyclic-orbit
-    quotient; the canonical vector it returns is certified by an exact
+    Solved mod P and interpolated on the cyclic-orbit quotient
+    (`_kernel_vector`); the canonical vector is certified by an exact
     H v = 0 check on the full sector.
     """
     basis = SectorBasis(m)
@@ -366,8 +365,7 @@ def gillespie(
                 row.append((acc, basis.index[tuple(target)]))
         totals.append(acc)
         moves.append(row)
-    rng = random.Random(seed)
-    expovariate, uniform = rng.expovariate, rng.uniform
+    draw = random.Random(seed).random  # expovariate, uniform(0.0, .) inlined: same float ops
     state = 0
     end = burn_in + horizon
     occ: dict[int, float] = {}
@@ -375,15 +373,15 @@ def gillespie(
     events = 0
     while now < end:
         total = totals[state]
-        nxt = now + expovariate(total) if total else end
-        overlap = min(nxt, end) - max(now, burn_in)
+        nxt = now - log(1.0 - draw()) / total if total else end
+        overlap = (nxt if nxt < end else end) - (now if now > burn_in else burn_in)
         if overlap > 0:
             occ[state] = occ.get(state, 0.0) + overlap
         if not total:
             break
         now = nxt
         events += 1
-        pick = uniform(0.0, total)
+        pick = total * draw()
         for acc, target in moves[state]:
             if pick <= acc:
                 state = target

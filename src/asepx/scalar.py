@@ -14,7 +14,10 @@ so no multivariate machinery is needed.
 
 The one modular layer: `P` is the prime 2**61 - 1, `residue` reduces a
 rational into GF(P) and `Poly.residue_at` evaluates a polynomial there.
-The point-evaluated identity checks run on these residues.
+The point-evaluated identity checks run on these residues.  The kernel
+solver adds elimination (`null_vector_mod_p`), interpolation
+(`interpolate_mod_p`, `cauchy_interpolate_mod_p`) and the lift back to
+rationals (`lift_residue`, `lift_polys`) over GF(P).
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 from operator import mul, or_
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 _ZERO = 0
 
@@ -183,7 +187,7 @@ class Poly:
         """The value mod P at the residue t."""
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * t + residue(c)) % P
+            acc = (acc * t + (c if type(c) is int else residue(c))) % P
         return acc
 
     # -- encoding --------------------------------------------------------
@@ -236,6 +240,156 @@ def residue(c: Union[int, Fraction]) -> int:
 def signed_residue(v: int) -> int:
     """The residue v as the integer of least absolute value: -1 reads -1."""
     return v - P if v > P // 2 else v
+
+
+#: numerator and denominator bound of `lift_residue`: 2 * LIFT_BOUND**2 < P,
+#: so a residue has at most one lift within it
+LIFT_BOUND = isqrt(P // 2)
+
+
+def lift_residue(v: int) -> Optional[Fraction]:
+    """The rational a/b with |a|, b <= LIFT_BOUND and a = b*v mod P, or None
+    (rational number reconstruction, von zur Gathen-Gerhard, ch. 5.10)."""
+    r0, r1, s0, s1 = P, v, 0, 1
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= LIFT_BOUND else None
+
+
+def lift_polys(polys: list[list[int]]) -> Optional[list[Poly]]:
+    """The polynomials mod P as integer polynomials, all scaled by one factor:
+    every coefficient lifted by `lift_residue`, then the denominators
+    cleared.  None if some coefficient has no lift."""
+    lifted = []
+    for p in polys:
+        coeffs = [lift_residue(c) for c in p]
+        if None in coeffs:
+            return None
+        lifted.append(coeffs)
+    scale = lcm(*(c.denominator for cs in lifted for c in cs))
+    return [Poly._of(tuple(c.numerator * (scale // c.denominator) for c in cs)) for cs in lifted]
+
+
+def null_vector_mod_p(mat: list[list[int]], dim: int) -> tuple[int, Optional[list[int]]]:
+    """(nullity, v) of a matrix over GF(P) with dim columns; v is the null
+    vector, 1 at the free column, when the nullity is 1, else None, and a
+    nullity above 1 reads 2.  Consumes `mat`.
+
+    Gaussian elimination column by column: the rows not yet pivots keep
+    only the columns not yet eliminated.
+    """
+    echelon: list[tuple[int, list[int]]] = []  # (column, its pivot row past it, scaled)
+    free = None
+    for col in range(dim):
+        i = next((i for i, r in enumerate(mat) if r[0]), None)
+        if i is None:
+            if free is not None:
+                return 2, None
+            free = col
+            mat = [r[1:] for r in mat]
+            continue
+        piv = mat.pop(i)
+        inv = pow(piv[0], -1, P)
+        piv = [a * inv % P for a in piv[1:]]
+        echelon.append((col, piv))
+        mat = [[(a - f * b) % P for a, b in zip(r[1:], piv)] if (f := r[0]) else r[1:]
+               for r in mat]
+    if free is None:
+        return 0, None
+    x = [0] * dim
+    x[free] = 1
+    for col, piv in reversed(echelon):
+        x[col] = -sum(map(mul, piv, x[col + 1:])) % P
+    return 1, x
+
+
+# Polynomials over GF(P) are lists of residues, lowest degree first, with
+# no trailing zero; [] is zero.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def mul_mod_p(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % P for c in out]  # both leads are nonzero mod P, so is theirs
+
+
+def divmod_mod_p(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Euclidean division of a by the nonzero b."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, P)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % P
+        if c:
+            quot[i - db] = c
+            for j in range(db):
+                rem[i - db + j] = (rem[i - db + j] - c * b[j]) % P
+    return _trim(quot), _trim(rem[:db])
+
+
+def eval_mod_p(a: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % P
+    return acc
+
+
+def interpolate_mod_p(xs: list[int], values: list[list[int]]) -> list[list[int]]:
+    """For every column j, the polynomial of degree < len(xs) through the
+    points (xs[k], values[k][j]): Newton's divided differences, then Horner."""
+    coef = [list(v) for v in values]
+    for d in range(1, len(xs)):
+        for k in range(len(xs) - 1, d - 1, -1):
+            inv = pow(xs[k] - xs[k - d], -1, P)
+            coef[k] = [(a - b) * inv % P for a, b in zip(coef[k], coef[k - 1])]
+    polys = [[c] for c in coef[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        x = xs[k]
+        polys = [
+            [(c - x * p[0]) % P] + [(p[i - 1] - x * p[i]) % P for i in range(1, len(p))] + [p[-1]]
+            for c, p in zip(coef[k], polys)
+        ]
+    return [_trim(p) for p in polys]
+
+
+def cauchy_interpolate_mod_p(
+    xs: list[int], values: list[int]
+) -> Optional[tuple[list[int], list[int]]]:
+    """The fraction (num, den) through the points (xs[k], values[k]), with
+    deg num < k = (len(xs) + 1) // 2, deg den <= len(xs) - k and den monic
+    and nonzero at every point; None if there is none.
+
+    Interpolation, then the extended Euclidean algorithm on the modulus
+    prod (t - xs[k]) and the interpolant, stopped at the first remainder of
+    degree < k (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5.7).
+    """
+    modulus = [1]
+    for x in xs:
+        modulus = mul_mod_p(modulus, [-x % P, 1])
+    k = (len(xs) + 1) // 2
+    (r1,) = interpolate_mod_p(xs, [[v] for v in values])
+    r0, s0, s1 = modulus, [], [1]
+    while len(r1) > k:
+        q, r = divmod_mod_p(r0, r1)
+        s = _trim([(a - b) % P for a, b in zip_longest(s0, mul_mod_p(q, s1), fillvalue=0)])
+        r0, r1, s0, s1 = r1, r, s1, s
+    inv = pow(s1[-1], -1, P)
+    num, den = [c * inv % P for c in r1], [c * inv % P for c in s1]
+    if len(den) - 1 > len(xs) - k or not all(eval_mod_p(den, x) for x in xs):
+        return None
+    return num, den
 
 
 def content(polys: Iterable[Poly]) -> Fraction:
@@ -361,7 +515,10 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def scale(self, c: CoeffLike) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
+        """c times the fraction: a nonzero c keeps it reduced over the same monic den."""
+        if c == 0:
+            return RF_ZERO
+        return RatFunc._of(self.num.scale(c), self.den)
 
     def eval(self, t0: Fraction) -> Fraction:
         d = self.den.eval(t0)

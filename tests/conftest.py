@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
-from asepx.asep_core import Multiplicity, SectorBasis
+from asepx import asep_core
+from asepx.asep_core import KernelError, Multiplicity, SectorBasis
 from asepx.mlq import SectorVector, iter_mlqs
 from asepx.oscillator import word_imbalance
 from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc, poly_gcd
@@ -184,6 +186,64 @@ def mlq_enumerate_direct(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVe
         den = den * v.den // poly_gcd(den, v.den)
     nums = {c: v.num * (den // v.den) for c, v in values.items()}
     return SectorVector(SectorBasis(m), nums, den)
+
+
+def bareiss_kernel_vector(rows: list[dict[int, Poly]], dim: int) -> list[Poly]:
+    """Oracle: the kernel vector of the row system by fraction-free elimination
+    in the polynomial ring (Bareiss, Math. Comp. 1968), else KernelError.
+
+    Lowest-degree pivots, exact divisions by the previous pivot, then
+    back-substitution from x_last = the last pivot: the solution is the
+    vector of maximal minors (Cramer's rule), so every division of the
+    back-substitution is exact too; a remainder raises.
+    """
+    mat = [[row.get(c, P_ZERO) for c in range(dim)] for row in rows]
+    nrows = len(mat)
+    col_perm = list(range(dim))
+    prev = P_ONE
+    rank = 0
+    for k in range(min(nrows, dim)):
+        nonzero = ((i, j) for i in range(k, nrows) for j in range(k, dim) if mat[i][j])
+        best = min(((mat[i][j].degree, i, j) for i, j in nonzero), default=None)
+        if best is None:
+            break
+        _, bi, bj = best
+        mat[k], mat[bi] = mat[bi], mat[k]
+        for r in mat:
+            r[k], r[bj] = r[bj], r[k]
+        col_perm[k], col_perm[bj] = col_perm[bj], col_perm[k]
+        piv = mat[k][k]
+        for i in range(k + 1, nrows):
+            head = mat[i][k]
+            for j in range(k + 1, dim):
+                mat[i][j] = _exact_div(piv * mat[i][j] - head * mat[k][j], prev)
+            mat[i][k] = P_ZERO
+        prev = piv
+        rank = k + 1
+    if rank != dim - 1:
+        raise KernelError(f"kernel dimension {dim - rank} != 1")
+    vec_perm = [P_ZERO] * dim
+    vec_perm[dim - 1] = prev
+    for i in range(rank - 1, -1, -1):
+        acc = sum((mat[i][j] * vec_perm[j] for j in range(i + 1, dim)), P_ZERO)
+        vec_perm[i] = -_exact_div(acc, mat[i][i])
+    vec = [P_ZERO] * dim
+    for pos, col in enumerate(col_perm):
+        vec[col] = vec_perm[pos]
+    return vec
+
+
+def _exact_div(num: Poly, den: Poly) -> Poly:
+    q, r = num.divmod(den)
+    if r:
+        raise AssertionError("fraction-free division left a remainder")
+    return q
+
+
+def bareiss_stationary(m: Multiplicity) -> dict[tuple[int, ...], Poly]:
+    """Oracle: `stationary_kernel` with `bareiss_kernel_vector` as its solver."""
+    with patch.object(asep_core, "_kernel_vector", bareiss_kernel_vector):
+        return asep_core.stationary_kernel(m)
 
 
 @pytest.fixture

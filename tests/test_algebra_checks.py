@@ -133,6 +133,16 @@ class TestQuasiPeriodicity:
         for k in range(3):
             assert check_quasi_periodicity(n, random_point(700 + k)).passed
 
+    def test_poly_gcd_calls(self, monkeypatch):
+        import asepx.scalar as scalar
+
+        calls = []
+        gcd = scalar.poly_gcd
+        monkeypatch.setattr(scalar, "poly_gcd", lambda *args: calls.append(1) or gcd(*args))
+        assert run_check("qp", n=3, trials=2).passed
+        # 156 while RatFunc.scale reduced its already reduced result again
+        assert len(calls) == 108
+
     def test_zero_patterns_agree(self):
         n, z = 2, Fraction(1, 3)
         for a, b, i, j in product(range(n + 1), repeat=4):

@@ -20,9 +20,9 @@ from asepx.asep_core import (
     nonzero_residual,
     stationary_kernel,
 )
-from asepx.scalar import P_ZERO, Poly, RatFunc, random_point
+from asepx.scalar import P_ZERO, Poly, RatFunc, lift_polys, random_point
 
-from conftest import local_markov, poly
+from conftest import bareiss_kernel_vector, bareiss_stationary, local_markov, poly
 from test_scalar import _coeffs, _nonzero_polys, _polys
 
 
@@ -227,14 +227,65 @@ class TestStationaryKernel:
         zero_rows = [dict(), dict()]
         with pytest.raises(KernelError):
             _kernel_vector(zero_rows, 2)
+        with pytest.raises(KernelError):  # rank 1 of 3 columns at every point
+            _kernel_vector([{0: poly(0, 1), 1: poly(0, 1)}], 3)
+
+    def test_full_rank_rows_raise(self):
+        identity = [{i: poly(1)} for i in range(3)]
+        with pytest.raises(KernelError):
+            _kernel_vector(identity, 3)
+        with pytest.raises(KernelError):  # determinant t - 1: singular only at t = 1
+            _kernel_vector([{0: poly(0, 1), 1: poly(1)}, {0: poly(1), 1: poly(1)}], 2)
+
+    def test_points_of_lower_rank_are_skipped(self):
+        # (t - 2)(x0 + x1) = 0 has rank 0 at t = 2 and rank 1 elsewhere
+        vec = _kernel_vector([{0: poly(-2, 1), 1: poly(-2, 1)}], 2)
+        assert vec[0] == -vec[1] and vec[0].degree == 0
+
+    def test_modular_solve_matches_the_bareiss_oracle(self):
+        for counts in [(2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 2)]:
+            m = Multiplicity(counts)
+            assert stationary_kernel(m) == bareiss_stationary(m), counts
+
+    def test_an_early_stop_test_never_returns_a_wrong_vector(self, monkeypatch):
+        import asepx.asep_core as core
+
+        # accept after the first fit: the lifts from too few points must
+        # fail the exact residual, and the solver take more points
+        lifts = []
+
+        def counted(polys):
+            lifts.append(1)
+            return lift_polys(polys)
+
+        monkeypatch.setattr(core, "_fit_holds", lambda *args: True)
+        monkeypatch.setattr(core, "lift_polys", counted)
+        for counts in [(2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)]:
+            m = Multiplicity(counts)
+            lifts.clear()
+            assert stationary_kernel(m) == bareiss_stationary(m), counts
+            assert len(lifts) > 1, counts
+
+    def test_a_lift_that_fails_the_residual_is_never_returned(self, monkeypatch):
+        import asepx.asep_core as core
+
+        def doubled_first(polys):
+            vec = lift_polys(polys)
+            return vec and [vec[0].scale(2)] + vec[1:]
+
+        monkeypatch.setattr(core, "lift_polys", doubled_first)
+        with pytest.raises(KernelError):
+            stationary_kernel(Multiplicity((2, 1, 1)))
 
     def test_full_and_reduced_paths_agree(self):
         for counts in [(1, 2, 1), (2, 1, 1), (1, 1, 1, 1)]:
             m = Multiplicity(counts)
             basis = SectorBasis(m)
-            full = _kernel_vector(_rows_of(markov_sector(m, basis), basis.dim), basis.dim)
-            oracle = canonicalize_values(basis, dict(zip(basis.configs, full)))
-            assert stationary_kernel(m) == oracle, counts
+            rows = _rows_of(markov_sector(m, basis), basis.dim)
+            for solve in (_kernel_vector, bareiss_kernel_vector):
+                full = solve(rows, basis.dim)
+                oracle = canonicalize_values(basis, dict(zip(basis.configs, full)))
+                assert stationary_kernel(m) == oracle, (counts, solve.__name__)
 
     def test_solve_and_residual_stay_in_the_polynomial_ring(self, monkeypatch):
         import asepx.asep_core as core
@@ -284,6 +335,17 @@ class TestStationaryKernel:
         assert len(rep_of) == 60 and len(set(rep_of.values())) == 12
         for sigma, rep in rep_of.items():
             assert rep == min(sigma[i:] + sigma[:i] for i in range(len(sigma)))
+
+
+# (1,1,1,1,2) and the other four n = 4, L = 6 sectors, and the twenty n = 3, L = 7 sectors
+EXTENDED_SECTORS = [m.counts for n, L in ((4, 6), (3, 7)) for m in basic_multiplicities(n, L)]
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("counts", EXTENDED_SECTORS, ids=str)
+def test_modular_solve_matches_bareiss_on_extended_sectors(counts):
+    m = Multiplicity(counts)
+    assert stationary_kernel(m) == bareiss_stationary(m)
 
 
 def _rows_of(mat, dim):

@@ -111,6 +111,20 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
+    def test_verify_qp_matches_the_recorded_digest(self, capsys):
+        # sha256 of `verify qp` stdout for n = 1..3, json then text, recorded
+        # while RatFunc.scale still reduced its result through poly_gcd
+        digest = hashlib.sha256()
+        for n in (1, 2, 3):
+            for fmt in ("json", "text"):
+                code, out = _capture(capsys, ["verify", "qp", "--n", str(n), "--trials", "3",
+                                              "--seed", "11", "--format", fmt])
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "7af9a375f3fb9cfec5aa328911b0941205072aff5fbfc21cd3f0ebf7228e9036"
+        )
+
     def test_byte_identical_output(self, capsys):
         argv = ["verify", "qp", "--n", "2", "--trials", "3", "--seed", "11"]
         _, first = _capture(capsys, argv)

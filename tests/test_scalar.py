@@ -4,13 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import asepx.scalar as scalar
 from asepx.scalar import (
+    LIFT_BOUND,
     P,
     P_ONE,
     RANDOM_POINT_BOUND,
+    RF_ZERO,
     PoleError,
     Poly,
     RatFunc,
+    cauchy_interpolate_mod_p,
+    interpolate_mod_p,
+    lift_polys,
+    lift_residue,
+    null_vector_mod_p,
     poly_gcd,
     random_point,
     residue,
@@ -63,6 +71,25 @@ class TestNormalize:
             if b.is_zero() or c.is_zero():
                 continue
             assert RatFunc(a * c, b * c) == RatFunc(a, b)
+
+
+_small_ints = st.lists(st.integers(-9, 9), max_size=4)
+
+
+class TestScale:
+    @settings(max_examples=100, deadline=None)
+    @given(_small_ints, _small_ints.filter(any), st.fractions(-5, 5, max_denominator=7))
+    def test_scale_matches_the_reducing_constructor(self, num, den, c):
+        f = RatFunc(Poly(num), Poly(den))
+        assert f.scale(c) == RatFunc(f.num.scale(c), f.den)
+
+    def test_scale_makes_no_gcd(self, monkeypatch):
+        f = RatFunc(Poly((1, 2)), Poly((3, 0, 1)))
+        calls = []
+        monkeypatch.setattr(scalar, "poly_gcd", lambda *args: calls.append(args))
+        assert f.scale(Fraction(-2, 3)).num == f.num.scale(Fraction(-2, 3))
+        assert f.scale(0) is RF_ZERO
+        assert calls == []
 
 
 class TestEval:
@@ -182,7 +209,7 @@ _points = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
 
 class TestScalarProperties:
-    """The exact divisions of the kernel solver rest on these laws."""
+    """The exact divisions of `poly_gcd` and `canonicalize_values` rest on these laws."""
 
     @settings(max_examples=100, deadline=None)
     @given(_polys, _nonzero_polys)
@@ -290,3 +317,52 @@ class TestIntFirstCoefficients:
     def test_ratfunc_eval_at_one(self):
         value = RatFunc(P_ONE, Poly((1, 1))).eval(1)
         assert value == Fraction(1, 2) and type(value) is Fraction
+
+
+class TestModularLayer:
+    """The evaluation-interpolation helpers of the kernel solver."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-LIFT_BOUND, LIFT_BOUND), st.integers(1, LIFT_BOUND))
+    def test_lift_inverts_residue_within_the_bound(self, a, b):
+        assert lift_residue(residue(Fraction(a, b))) == Fraction(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, P - 1))
+    def test_a_lift_is_congruent_and_within_the_bound(self, v):
+        f = lift_residue(v)
+        assume(f is not None)
+        assert abs(f.numerator) <= LIFT_BOUND and f.denominator <= LIFT_BOUND
+        assert residue(f) == v
+
+    def test_lift_polys_clears_denominators(self):
+        half, third = residue(Fraction(1, 2)), residue(Fraction(-1, 3))
+        assert lift_polys([[half, 1], [third]]) == [Poly((3, 6)), Poly((-2,))]
+        assert lift_polys([[1], []]) == [Poly((1,)), Poly(())]
+
+    def test_interpolation_through_every_column(self):
+        xs = [2, 3, 5, 7]
+        cols = [Poly((1, -2, 0, 3)), Poly((4, 1))]
+        values = [[p.residue_at(x) for p in cols] for x in xs]
+        assert interpolate_mod_p(xs, values) == [[residue(c) for c in p.coeffs] for p in cols]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_ints, _small_ints.filter(any))
+    def test_cauchy_interpolation_recovers_the_fraction(self, num, den):
+        f = RatFunc(Poly(num), Poly(den))
+        xs = [x for x in range(2, 40) if f.den.residue_at(x)][:7]
+        values = [f.num.residue_at(x) * pow(f.den.residue_at(x), -1, P) % P for x in xs]
+        assert cauchy_interpolate_mod_p(xs, values) == (
+            [residue(c) for c in f.num.coeffs], [residue(c) for c in f.den.coeffs])
+
+    def test_cauchy_interpolation_refuses_a_denominator_that_vanishes(self):
+        # a fraction of degrees (1, 1) that is 0 at 2 and 3 is 0 everywhere,
+        # so it can take the value 1 at 4 only as 0/(t - 4)
+        assert cauchy_interpolate_mod_p([2, 3, 4], [0, 0, 1]) is None
+
+    def test_null_vector(self):
+        assert null_vector_mod_p([[1, 1, 0], [0, 1, 1]], 3) == (1, [1, P - 1, 1])
+        assert null_vector_mod_p([[0, 2], [0, 3]], 2) == (1, [1, 0])
+        assert null_vector_mod_p([[1, 0], [0, 1]], 2) == (0, None)
+        assert null_vector_mod_p([[0, 0], [0, 0]], 2) == (2, None)
+        assert null_vector_mod_p([[1, 2, 3]], 3) == (2, None)
