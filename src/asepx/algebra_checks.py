@@ -5,8 +5,10 @@ The symbolic checks (qp, lt-link's word comparison, ms-theorem,
 stationary) are exact in t.  The point checks (ybe, rll, lt-link's L(0)
 action, the window identities rtt, zf and hat, and the rank recursion
 `ctm.check_recursion`) evaluate mod the prime P = 2^61 - 1 at the
-residues of a sampled rational point; R enters them only through
-`r_element`, its numerator and denominator evaluated mod P.  Operator
+residues of a sampled rational point.  R exists in one form,
+`r_element`'s unreduced pair (numerator, denominator) of polynomials in
+t: the point checks read it through `r_value`, the two residues mod P
+and one inverse, and qp cross-multiplies the pairs exactly.  Operator
 identities are compared as truncated-Fock matrix identities on the safe
 window, organized through the tensor factorization of the terms so the
 product state space is never enumerated.  They share one harness with
@@ -74,7 +76,7 @@ from .oscillator import (
     s_parts,
 )
 from .scalar import (
-    P, Poly, RatFunc, RF_ONE, RF_ZERO, over_common_map, random_point, residue, signed_residue,
+    P, P_ONE, P_ZERO, Poly, over_common_map, random_point, residue, signed_residue,
 )
 
 
@@ -82,36 +84,31 @@ from .scalar import (
 # R matrix
 
 
-def r_element(z: Fraction, a: int, b: int, i: int, j: int) -> RatFunc:
-    """Element R(z)^{a,b}_{i,j}, symbolic in t with z substituted.
+def r_element(z: Fraction, a: int, b: int, i: int, j: int) -> tuple[Poly, Poly]:
+    """Element R(z)^{a,b}_{i,j} as an unreduced pair (numerator,
+    denominator) of polynomials in t with z substituted.
 
-    Nonzero patterns: equal quadruple (value 1), diagonal-unequal
-    (1-z) t^[i<j] / (1-tz), and swap (1-t) z^[i>j] / (1-tz).
+    Nonzero patterns: equal quadruple (1, 1), diagonal-unequal
+    (1-z) t^[i<j] over 1-tz, and swap (1-t) z^[i>j] over 1-tz; every
+    other entry is (0, 1).
     """
-    den = Poly((1, -z))
-    if den.is_zero():
-        raise ZeroDivisionError("pole t z = 1")
     if a == b == i == j:
-        return RF_ONE
-    if i == j:
-        return RF_ZERO
+        return P_ONE, P_ONE
+    if i == j or (a, b) not in ((i, j), (j, i)):
+        return P_ZERO, P_ONE
     if (a, b) == (i, j):
-        num = Poly((1 - z,)) if i > j else Poly((0, 1 - z))
-        return RatFunc(num, den)
-    if (a, b) == (j, i):
-        num = Poly((1, -1)).scale(z if i > j else 1)
-        return RatFunc(num, den)
-    return RF_ZERO
+        return Poly.t_power(i < j, 1 - z), Poly((1, -z))
+    return Poly((1, -1)).scale(z if i > j else 1), Poly((1, -z))
 
 
 def r_value(z: Fraction, t: int, a: int, b: int, i: int, j: int) -> int:
     """R(z)^{a,b}_{i,j} mod P at the residue t: the numerator and the
     denominator of `r_element`, each evaluated mod P."""
-    v = r_element(z, a, b, i, j)
-    den = v.den.residue_at(t)
-    if not den:
+    num, den = r_element(z, a, b, i, j)
+    d = den.residue_at(t)
+    if not d:
         raise ZeroDivisionError("pole t z = 1")
-    return v.num.residue_at(t) * pow(den, -1, P) % P
+    return num.residue_at(t) * pow(d, -1, P) % P
 
 
 def r_output_pairs(i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -155,23 +152,24 @@ def check_ybe(n: int, x0: Fraction, y0: Fraction, t0: Fraction) -> CheckReport:
 
 
 def check_quasi_periodicity(n: int, z0: Fraction) -> CheckReport:
-    """Index-shift covariance of R, all (n+1)^4 components, exact in t."""
-    t_pow = RatFunc(Poly((0, 1)))
+    """Index-shift covariance of R, all (n+1)^4 components, exact in t.
+
+    Each component n1/d1 = z^zexp t^texp n2/d2 is compared cross-multiplied,
+    n1 d2 t^[texp<0] = z^zexp n2 d1 t^[texp>0], in Q[t].
+    """
     witnesses = []
     for a, b, i2, j2 in product(range(n + 1), repeat=4):
-        lhs = r_element(z0, a, b, i2, j2)
+        n1, d1 = r_element(z0, a, b, i2, j2)
         zexp = (1 if j2 == 0 else 0) - (1 if b == 0 else 0)
         texp = (1 if (a == 0 and b != 0) else 0) - (
             1 if (i2 != 0 and j2 == 0) else 0
         )
-        rhs = r_element(
+        n2, d2 = r_element(
             z0, (a - 1) % (n + 1), (b - 1) % (n + 1),
             (i2 - 1) % (n + 1), (j2 - 1) % (n + 1),
-        ).scale(z0**zexp)
-        if texp == 1:
-            rhs = rhs * t_pow
-        elif texp == -1:
-            rhs = rhs / t_pow
+        )
+        lhs = (n1 * d2).shift(texp < 0)
+        rhs = (n2 * d1).scale(z0**zexp).shift(texp > 0)
         if lhs != rhs:
             witnesses.append({"abij": (a, b, i2, j2)})
     return CheckReport(

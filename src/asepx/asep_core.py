@@ -345,6 +345,9 @@ def gillespie(
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not 0 <= burn_in < inf:
         raise ValueError(f"burn_in must be finite and nonnegative, got {burn_in}")
+    end = burn_in + horizon  # two finite floats can still sum to inf
+    if end == inf:
+        raise ValueError(f"burn_in + horizon must be finite, got {burn_in} + {horizon}")
     basis = SectorBasis(m)
     L = m.L
     totals: list[float] = []
@@ -367,7 +370,6 @@ def gillespie(
         moves.append(row)
     draw = random.Random(seed).random  # expovariate, uniform(0.0, .) inlined: same float ops
     state = 0
-    end = burn_in + horizon
     occ: dict[int, float] = {}
     now = 0.0
     events = 0

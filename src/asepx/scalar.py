@@ -550,7 +550,6 @@ class RatFunc:
 
 
 RF_ZERO = RatFunc(P_ZERO)
-RF_ONE = RatFunc(P_ONE)
 
 
 #: numerator/denominator magnitude bound for random evaluation points;

@@ -36,18 +36,27 @@ from asepx.scalar import P, Poly, RatFunc, random_point, residue
 from conftest import poly, rf, sparse
 
 
-def _doubled_r(exact):
-    return lambda *args: exact(*args).scale(2)
+def _scaled_r(doubled):
+    """Wrap `r_element` so that the entries (a, b, i, j) `doubled` picks
+    carry twice their numerator."""
+
+    def wrap(exact):
+        def scaled(z, a, b, i, j):
+            num, den = exact(z, a, b, i, j)
+            return (num.scale(2), den) if doubled(a, b, i, j) else (num, den)
+
+        return scaled
+
+    return wrap
 
 
-def _swap_doubled_r(exact):
-    # a uniformly doubled R cancels from both sides of RTT = TTR, so only
-    # the swap entries (a, b) = (j, i), i != j, are doubled
-    def swap_doubled(z, a, b, i, j):
-        v = exact(z, a, b, i, j)
-        return v.scale(2) if (a, b) == (j, i) and i != j else v
-
-    return swap_doubled
+_doubled_r = _scaled_r(lambda *abij: True)
+# a uniformly doubled R cancels from both sides of RTT = TTR, so only
+# the swap entries (a, b) = (j, i), i != j, are doubled
+_swap_doubled_r = _scaled_r(lambda a, b, i, j: (a, b) == (j, i) and i != j)
+# qp compares each entry with its index shift, so one doubled entry
+# fails the two components that read it
+_doubled_r01_10 = _scaled_r(lambda *abij: abij == (0, 1, 1, 0))
 
 
 def _doubled_hat_term(alpha, k):
@@ -68,17 +77,29 @@ def _s_weight_0011_is_one(exact):
     return lambda *key: () if key == (0, 0, 1, 1) else exact(*key)
 
 
+def r_rat(*args) -> RatFunc:
+    """`r_element` reduced, the oracle form of R's entry."""
+    return RatFunc(*r_element(*args))
+
+
 class TestRMatrix:
     def test_equal_quadruple_is_one(self):
         z = Fraction(2, 5)
         for a in range(3):
-            assert r_element(z, a, a, a, a) == rf(poly(1))
+            assert r_rat(z, a, a, a, a) == rf(poly(1))
+
+    def test_entries_are_unreduced_over_one_minus_zt(self):
+        z = Fraction(2, 5)
+        for a, b, i, j in product(range(3), repeat=4):
+            num, den = r_element(z, a, b, i, j)
+            assert den in (poly(1), poly(1, -z))
+            assert num.is_zero() == r_rat(z, a, b, i, j).is_zero()
 
     def test_unit_argument_is_transposition(self):
         z = Fraction(1)
         for i, j in product(range(3), repeat=2):
             for a, b in product(range(3), repeat=2):
-                v = r_element(z, a, b, i, j)
+                v = r_rat(z, a, b, i, j)
                 if (a, b) == (j, i):
                     assert v == rf(poly(1))
                 else:
@@ -90,7 +111,7 @@ class TestRMatrix:
         for g, d in product(range(n + 1), repeat=2):
             total = RatFunc(Poly())
             for a, b in product(range(n + 1), repeat=2):
-                total = total + r_element(z, a, b, g, d)
+                total = total + r_rat(z, a, b, g, d)
             assert total == rf(poly(1))
 
     def test_swap_asymmetry_exponents(self):
@@ -119,14 +140,14 @@ class TestQuasiPeriodicity:
         z = Fraction(2, 7)
         t = RatFunc(poly(0, 1))
         for a in range(n):
-            lhs = r_element(z, a + 1, 0, a + 1, 0)
-            assert lhs * t == r_element(z, a, n, a, n)
-            lhs = r_element(z, 0, a + 1, 0, a + 1)
-            assert lhs == r_element(z, n, a, n, a) * t
-            lhs = r_element(z, a + 1, 0, 0, a + 1)
-            assert lhs.scale(z) == r_element(z, a, n, n, a)
-            lhs = r_element(z, 0, a + 1, a + 1, 0)
-            assert lhs == r_element(z, n, a, a, n).scale(z)
+            lhs = r_rat(z, a + 1, 0, a + 1, 0)
+            assert lhs * t == r_rat(z, a, n, a, n)
+            lhs = r_rat(z, 0, a + 1, 0, a + 1)
+            assert lhs == r_rat(z, n, a, n, a) * t
+            lhs = r_rat(z, a + 1, 0, 0, a + 1)
+            assert lhs.scale(z) == r_rat(z, a, n, n, a)
+            lhs = r_rat(z, 0, a + 1, a + 1, 0)
+            assert lhs == r_rat(z, n, a, a, n).scale(z)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_pass(self, n):
@@ -140,14 +161,15 @@ class TestQuasiPeriodicity:
         gcd = scalar.poly_gcd
         monkeypatch.setattr(scalar, "poly_gcd", lambda *args: calls.append(1) or gcd(*args))
         assert run_check("qp", n=3, trials=2).passed
-        # 156 while RatFunc.scale reduced its already reduced result again
-        assert len(calls) == 108
+        # 156 while RatFunc.scale reduced its already reduced result again,
+        # 108 while qp multiplied and divided reduced RatFuncs
+        assert calls == []
 
     def test_zero_patterns_agree(self):
         n, z = 2, Fraction(1, 3)
         for a, b, i, j in product(range(n + 1), repeat=4):
-            lhs = r_element(z, a, b, i, j)
-            rhs = r_element(
+            lhs, _ = r_element(z, a, b, i, j)
+            rhs, _ = r_element(
                 z, (a - 1) % (n + 1), (b - 1) % (n + 1),
                 (i - 1) % (n + 1), (j - 1) % (n + 1),
             )
@@ -502,6 +524,34 @@ class TestRunCheck:
             monkeypatch.setattr(checks, "hat_operators", _doubled_hat_term(alpha, k)(exact))
             assert not run_check("hat", n=2, fock_dim=10, trials=2).passed, (alpha, k)
 
+    @pytest.mark.parametrize(
+        "kind", ["ybe", "rll", "qp", "lt-link", "rtt", "zf", "hat", "ms-theorem"]
+    )
+    def test_ladder_makes_no_gcd_and_no_ratfunc(self, monkeypatch, kind):
+        import asepx.asep_core as core
+        import asepx.scalar as scalar
+
+        calls = []
+        gcd, init = scalar.poly_gcd, RatFunc.__init__
+
+        def counted_gcd(*args):
+            calls.append("poly_gcd")
+            return gcd(*args)
+
+        def counted_init(self, *args):
+            calls.append("RatFunc")
+            init(self, *args)
+
+        monkeypatch.setattr(scalar, "poly_gcd", counted_gcd)
+        monkeypatch.setattr(core, "poly_gcd", counted_gcd)
+        monkeypatch.setattr(RatFunc, "__init__", counted_init)
+        for module in ("algebra_checks", "asep_core", "ctm", "mlq", "oscillator", "scalar"):
+            for cached in vars(importlib.import_module(f"asepx.{module}")).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+        assert run_check(kind, n=3, trials=2).passed
+        assert calls == []
+
     def test_report_json_shape(self):
         report = run_check("qp", n=2, trials=2, seed=3)
         data = report.to_json()
@@ -555,6 +605,11 @@ GOLDEN_REPORTS = {
         ("r_element", _swap_doubled_r),
         {"kind": "rll", "n": 2, "l": 1},
         "32d016c46d932ba6360470a5f04430bc560be5f7a6ca99350b9a05bdb8b79d72",
+    ),
+    "qp-doubled-r01-10": (
+        ("r_element", _doubled_r01_10),
+        {"kind": "qp", "n": 2, "trials": 2},
+        "5a8541d4dbb04c6260fe4f11a404c1ca658903cbf4dbac43adf0d1a54c5c2672",
     ),
     "hat-doubled-term-1-0": (
         ("hat_operators", _doubled_hat_term(1, 0)),

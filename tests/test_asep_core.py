@@ -513,6 +513,12 @@ class TestGillespie:
         dist = gillespie(Multiplicity((3, 0)), 0.7, horizon=10.0, seed=4)
         assert dist == {(0, 0, 0): pytest.approx(1.0)}
 
+    @pytest.mark.parametrize("horizon, burn_in", [(1e308, 1e308), (float("inf"), 0.0)])
+    def test_a_window_that_never_ends_is_rejected(self, horizon, burn_in):
+        # each value is finite in the first case, but the window's end is inf
+        with pytest.raises(ValueError):
+            gillespie(Multiplicity((2, 1, 1)), 0.5, horizon=horizon, burn_in=burn_in)
+
     def test_total_time_is_normalized(self):
         dist = gillespie(Multiplicity((1, 1, 1)), 0.5, horizon=50.0, seed=1)
         assert sum(dist.values()) == pytest.approx(1.0)

@@ -86,6 +86,7 @@ class TestVerifyCommand:
             ["simulate", "--mult", "1,1,1", "--horizon", "-5"],
             ["simulate", "--mult", "1,1,1", "--burn-in", "-3"],
             ["simulate", "--mult", "1,1,1", "--t", "nan"],
+            ["simulate", "--mult", "2,1,1", "--horizon", "1e308", "--burn-in", "1e308"],
             ["stationary", "--mult", "2,1,1", "--method", "mp", "--q", "2/3"],
             ["stationary", "--mult", "2,1,1", "--method", "kernel", "--q", "0"],
             ["stationary", "--mult", "2,1,1", "--all-methods", "--q", "2/3"],
