@@ -10,8 +10,9 @@ residues of a sampled rational point.  R exists in one form,
 t: the point checks read it through `r_value`, the two residues mod P
 and one inverse, and qp cross-multiplies the pairs exactly.  Operator
 identities are compared as truncated-Fock matrix identities on the safe
-window, organized through the tensor factorization of the terms so the
-product state space is never enumerated.  They share one harness with
+window by `oscillator.multimode_sum_is_zero`, which merges equal terms
+and eliminates once per mode, so the product state space is never
+enumerated.  They share one harness with
 `ctm.check_recursion`, `oscillator._window_report`: each check builds
 the term sums of its cases with `_products`, and the harness zero-tests
 them, names a witness per failing case and writes the report, with the

@@ -28,9 +28,11 @@ it on every case of a truncated identity (rtt, zf, hat, `ctm`'s rank
 recursion) and names a witness per failing case, work mod the prime
 P = 2^61 - 1 of `scalar`, at the residue of the sampled t: exact linear
 algebra over GF(P), so a sum passes iff every window matrix element is
-0 mod P.  A matrix element nonzero over Q is 0 mod P only if P divides
-its numerator; `algebra_checks` bounds the coefficients of the
-identities it tests below P, which keeps the randomized checks sound.
+0 mod P; the zero test merges equal words, then eliminates once per
+mode over one echelon basis of the mode's window rows.  A matrix element
+nonzero over Q is 0 mod P only if P divides its numerator;
+`algebra_checks` bounds the coefficients of the identities it tests
+below P, which keeps the randomized checks sound.
 """
 
 from __future__ import annotations
@@ -324,75 +326,67 @@ def multimode_sum_is_zero(terms: Iterable[EvalTerm], window: int, t: int) -> boo
 
     The coefficients c_k and t are residues mod P.  Equivalent to
     comparing truncated matrices entrywise for all states with every
-    mode level (in and out) at most `window`, but organised by the
-    tensor factorisation: terms are grouped by their per-mode level
-    shifts, then reduced mode by mode against a row basis over GF(P),
-    so the product state space is never enumerated.  Every term must
-    carry the same number of mode words.  A window below 1 would
-    compare at most the vacuum, so it is refused.
+    mode level (in and out) at most `window`, but the product states are
+    never enumerated: equal words are merged, then, mode by mode, every
+    term is split along one echelon basis of that mode's window rows.
+    Products of basis rows are independent, so the sum is zero iff no
+    term survives.  Every term must carry the same number of mode
+    words.  A window below 1 would compare at most the vacuum, so it is
+    refused.
     """
     if window < 1:
         raise ValueError(
             f"safe window {window} leaves no truncation-free level to compare;"
             " need a Fock dimension of at least 4"
         )
-    terms = list(terms)
-    if len({len(words) for _, words in terms}) > 1:
-        raise ValueError("terms carry different numbers of mode words")
-    groups: dict[tuple[int, ...], list[EvalTerm]] = {}
+    # {(basis indices of the reduced modes, words of the others): coeff}
+    state: dict[tuple[tuple[int, ...], ModeWords], int] = {}
     for coeff, words in terms:
-        if coeff := coeff % P:
-            shifts = tuple(word_imbalance(w) for w in words)
-            groups.setdefault(shifts, []).append((coeff, words))
+        key = ((), words)
+        state[key] = (state.get(key, 0) + coeff) % P
+    if len({len(words) for _, words in state}) > 1:
+        raise ValueError("terms carry different numbers of mode words")
+    state = {key: c for key, c in state.items() if c}
+    while state and next(iter(state))[1]:
+        # per shift, the echelon rows (pivot, row scaled to a unit pivot)
+        basis: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        parts: dict[OscWord, list[tuple[int, int]]] = {}
+        nxt: dict[tuple[tuple[int, ...], ModeWords], int] = {}
+        for (prefix, words), coeff in state.items():
+            word, rest = words[0], words[1:]
+            if word not in parts:
+                parts[word] = _basis_coordinates(word, window, t, basis)
+            for index, alpha in parts[word]:
+                key = (prefix + (index,), rest)
+                nxt[key] = (nxt.get(key, 0) + coeff * alpha) % P
+        state = {key: c for key, c in nxt.items() if c}
+    return not state
 
-    for shifts, group in groups.items():
-        if any(abs(s) > window for s in shifts):
-            continue  # no representable matrix elements on the window
-        vectors = [
-            tuple(_mode_vector(w, s, window, t) for w, s in zip(words, shifts))
-            for _, words in group
-        ]
-        if not _tensor_zero([c for c, _ in group], vectors, 0):
-            return False
-    return True
 
-
-def _tensor_zero(
-    coeffs: list[int], vectors: list[tuple[tuple[int, ...], ...]], mode: int
-) -> bool:
-    live = [k for k, c in enumerate(coeffs) if c]
-    if not live:
-        return True
-    if mode == len(vectors[live[0]]):
-        return sum(coeffs[k] for k in live) % P == 0
-    # Express each term's mode vector over a triangular basis of rows
-    # with unit pivots: row_k = sum_b alpha[k][b] * basis[b].  The tensor
-    # sum vanishes iff it vanishes for every basis row separately.
-    basis: list[tuple[int, tuple[int, ...]]] = []
-    alphas: dict[int, list[int]] = {}
-    for k in live:
-        row = vectors[k][mode]
-        alpha = []
-        for piv, brow in basis:
-            f = row[piv]
-            alpha.append(f)
-            if f:
-                row = tuple((x - f * y) % P for x, y in zip(row, brow))
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is not None:
-            inv = pow(row[piv], -1, P)
-            basis.append((piv, tuple(x * inv % P for x in row)))
-            alpha.append(row[piv])
-        alphas[k] = alpha
-    for bi in range(len(basis)):
-        sub = [0] * len(coeffs)
-        for k in live:
-            ak = alphas[k]
-            if bi < len(ak) and ak[bi]:
-                sub[k] = coeffs[k] * ak[bi] % P
-        if not _tensor_zero(sub, vectors, mode + 1):
-            return False
-    return True
+def _basis_coordinates(
+    word: OscWord, window: int, t: int, basis: dict[int, list[tuple[int, tuple[int, ...]]]]
+) -> list[tuple[int, int]]:
+    """The word's window row over the echelon `basis`, as its nonzero
+    [(basis index, coordinate)]; a row outside the span joins the basis.
+    Rows of different shifts share no coordinate (shift, position), and a
+    basis row's index is its pivot's, flattened to shift * (window + 1) + position.
+    """
+    shift = word_imbalance(word)
+    if abs(shift) > window:
+        return []  # no representable matrix element on the window
+    row = _mode_vector(word, shift, window, t)
+    rows = basis.setdefault(shift, [])
+    out = []
+    for piv, brow in rows:
+        if f := row[piv]:
+            out.append((shift * (window + 1) + piv, f))
+            row = tuple((x - f * y) % P for x, y in zip(row, brow))
+    piv = next((i for i, x in enumerate(row) if x), None)
+    if piv is not None:
+        inv = pow(row[piv], -1, P)
+        rows.append((piv, tuple(x * inv % P for x in row)))
+        out.append((shift * (window + 1) + piv, row[piv]))
+    return out
 
 
 # ---------------------------------------------------------------------------

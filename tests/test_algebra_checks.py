@@ -581,6 +581,23 @@ GOLDEN_REPORTS = {
         {"kind": "hat", "n": 2, "trials": 2},
         "5272806a8fd4fac0706749522d7555ce10a8d1c3144c551db207e380f219e435",
     ),
+    # n = 3: the terms carry two and three modes, so these digests pin
+    # the multi-mode reduction of the zero test
+    "rtt-n3": (
+        None,
+        {"kind": "rtt", "n": 3, "trials": 2},
+        "6e1bb274ea39fd53a377146ca7c0e66679bb7ebe94850f33dae86077d666bc8e",
+    ),
+    "zf-n3": (
+        None,
+        {"kind": "zf", "n": 3, "trials": 2},
+        "44e65418427f565542f40e4a128f643580f2811b82ecd1c5fc27c1df0f5974dd",
+    ),
+    "hat-n3": (
+        None,
+        {"kind": "hat", "n": 3, "trials": 2},
+        "8fb559bc49507fdcad89a958874d443fad965fb6f7b1368baaa091b360b58548",
+    ),
     "rll": (
         None,
         {"kind": "rll", "n": 2, "l": 1},
@@ -615,6 +632,17 @@ GOLDEN_REPORTS = {
         ("hat_operators", _doubled_hat_term(1, 0)),
         {"kind": "hat", "n": 2, "trials": 2},
         "d9535c58014ec3153ad9c909669b4d3cf38e100e9debf8a6aad477cb8fb5fc05",
+    ),
+    "zf-n3-doubled-r": (
+        ("r_element", _doubled_r),
+        {"kind": "zf", "n": 3, "trials": 2},
+        "a6b4cb4bea4d0e495fb5b40db33569d6a6744a73ea616d749d5d02f9583541a0",
+    ),
+    # term 1 of hat_2 at n = 3 is (2 - 2t) a- ⊗ k ⊗ a+, a three-mode word
+    "hat-n3-doubled-term-2-1": (
+        ("hat_operators", _doubled_hat_term(2, 1)),
+        {"kind": "hat", "n": 3, "trials": 2},
+        "40616bfc4762da93e585b7c4933887caaa2b44890b157598c444903b42c7a0b6",
     ),
     "ms-theorem": (
         None,

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from asepx.asep_core import Multiplicity
-from asepx.cli import _emit, _emit_streamed, run
+from asepx.cli import _emit, _emit_streamed, main, run
 from asepx.mlq import iter_mlqs
 
 
@@ -282,3 +284,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["modes"] == 0
+
+    def test_package_runs_as_a_module(self, capsys, monkeypatch):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "asepx", "sector", "--mult", "2,1,1"],
+            capture_output=True, text=True, env=env,
+        )
+        monkeypatch.setattr(sys, "argv", ["asepx", "sector", "--mult", "2,1,1"])
+        with pytest.raises(SystemExit) as err:
+            main()
+        assert (proc.returncode, proc.stdout) == (err.value.code, capsys.readouterr().out)
+        assert proc.returncode == 0 and proc.stdout

@@ -136,6 +136,7 @@ PACKAGE_IMPORTS = {
     "ctm": {"asep_core", "oscillator", "scalar"},
     "algebra_checks": {"asep_core", "ctm", "mlq", "oscillator", "scalar"},
     "cli": {"algebra_checks", "asep_core", "ctm", "mlq", "oscillator", "scalar"},
+    "__main__": {"cli"},
 }
 
 

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from asepx import oscillator
 from asepx.oscillator import (
     AMINUS,
     APLUS,
@@ -25,7 +28,7 @@ from asepx.oscillator import (
     word_imbalance,
     word_to_str,
 )
-from asepx.scalar import RANDOM_POINT_BOUND, Poly, RatFunc, residue
+from asepx.scalar import P, RANDOM_POINT_BOUND, Poly, RatFunc, residue
 
 from conftest import (
     exact_action,
@@ -416,6 +419,26 @@ _points = st.builds(
 )
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
+# words of imbalance beyond every drawn window (1..4), so that some
+# terms have no matrix element on it
+_wide_words = st.one_of(
+    _words, st.sampled_from([(APLUS,) * 5, (AMINUS,) * 5, (K, AMINUS, AMINUS, AMINUS)])
+)
+
+
+def _term_lists(nmodes):
+    """Up to 6 terms whose words come from at most two per mode, so that
+    terms share mode words, repeat whole multi-mode words, and give the
+    zero test terms to merge."""
+    # unit coefficients make cancellations between terms likely
+    coeffs = st.one_of(st.sampled_from([1, -1]).map(Fraction), _coeffs)
+    choices = st.lists(st.lists(_wide_words, min_size=1, max_size=2),
+                       min_size=nmodes, max_size=nmodes)
+    return choices.flatmap(lambda per_mode: st.lists(
+        st.tuples(coeffs, st.tuples(*map(st.sampled_from, per_mode))),
+        min_size=1, max_size=6,
+    ))
+
 
 def _normal_expansion(coeff, words, t0):
     """coeff * words expanded into normal monomials per mode, exact at t0."""
@@ -446,17 +469,15 @@ class TestResidueZeroTest:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(1, 2).flatmap(
-            lambda nmodes: st.lists(
-                st.tuples(_coeffs, st.lists(_words, min_size=nmodes, max_size=nmodes)
-                          .map(tuple)),
-                min_size=1, max_size=4,
-            )
-        ),
+        st.integers(1, 3).flatmap(_term_lists),
         st.sampled_from(["random", "zero", "perturbed"]),
         st.integers(1, 4),
         _points,
     )
+    # 1 ⊗ k - a+ ⊗ k is not zero, but its two terms cancel if their
+    # mode-1 basis coordinates are summed rather than kept apart
+    @example([(Fraction(1), ((), (K,))), (Fraction(-1), ((APLUS,), (K,)))],
+             "random", 2, Fraction(1, 3))
     def test_zero_test_agrees_with_the_exact_oracle(self, terms, kind, window, t0):
         # "zero" subtracts the normal-ordered expansion of the terms, an
         # exact operator identity; "perturbed" then drops one monomial
@@ -468,6 +489,33 @@ class TestResidueZeroTest:
             assert exact
         mod_p = [(residue(c), ws) for c, ws in terms]
         assert multimode_sum_is_zero(mod_p, window, residue(t0)) == exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(_term_lists), st.integers(1, 4), _points)
+    def test_each_mode_word_is_read_at_most_once(self, terms, window, t0):
+        reads = []
+
+        def counted(word, shift, window, t):
+            reads.append(word)
+            return _mode_vector(word, shift, window, t)
+
+        modes_of = {}
+        for _, words in terms:
+            for mode, word in enumerate(words):
+                modes_of.setdefault(word, set()).add(mode)
+        mod_p = [(residue(c), ws) for c, ws in terms]
+        with patch.object(oscillator, "_mode_vector", counted):
+            multimode_sum_is_zero(mod_p, window, residue(t0))
+        for word, count in Counter(reads).items():
+            assert count <= len(modes_of[word])
+
+    @pytest.mark.parametrize(
+        "words",
+        [((K, APLUS),), ((APLUS,), (AMINUS, K)), ((), (K,), (APLUS, AMINUS))],
+    )
+    def test_cancelling_terms_read_no_mode_vector(self, words):
+        with patch.object(oscillator, "_mode_vector", None):
+            assert multimode_sum_is_zero([(3, words), (P - 3, words)], 3, residue(Fraction(1, 3)))
 
     @pytest.mark.parametrize(
         "terms",
