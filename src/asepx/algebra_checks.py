@@ -42,7 +42,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .asep_core import (
     Multiplicity,
@@ -387,14 +387,22 @@ def check_L0_oscillator(n: int, l: int, t0: Fraction) -> CheckReport:
 
 
 def _products(
-    scale: int, left: Sequence[EvalTerm], right: Sequence[EvalTerm]
+    factors: Iterable[tuple[int, Sequence[EvalTerm], Sequence[EvalTerm]]]
 ) -> list[EvalTerm]:
-    """The expanded terms of scale * (sum of left) * (sum of right), mod P."""
-    return [
-        (scale * c1 * c2 % P, multimode_words_mul(w1, w2))
-        for c1, w1 in left
-        for c2, w2 in right
-    ]
+    """The terms of the sum of scale * (sum of left) * (sum of right) over
+    the (scale, left, right) of `factors`, mod P: one term per distinct
+    product word, in the order of first appearance.  A word whose
+    coefficients cancel stays, with coefficient 0, so that the direct
+    scan of `_window_report` meets the matrix elements in the same order
+    as over the expanded terms; the zero test drops it.
+    """
+    terms: dict[ModeWords, int] = {}
+    for scale, left, right in factors:
+        for c1, w1 in left:
+            for c2, w2 in right:
+                w = multimode_words_mul(w1, w2)
+                terms[w] = (terms.get(w, 0) + scale * c1 * c2) % P
+    return [(c, w) for w, c in terms.items()]
 
 
 def check_rtt(
@@ -414,14 +422,11 @@ def check_rtt(
 
     def cases():
         for a, b, i, j in product(range(n + 1), range(n + 1), range(n), range(n)):
-            terms: list[EvalTerm] = []
-            for (a2, b2) in r_output_pairs(i, j):
-                if r := rv(a2, b2, i, j):
-                    terms += _products(r, tev(b2, b, y), tev(a2, a, x))
-            for (i2, j2) in r_output_pairs(a, b):
-                if r := rv(a, b, i2, j2):
-                    terms += _products(-r, tev(i, i2, x), tev(j, j2, y))
-            yield (a, b, i, j), terms
+            rt = [(r, tev(b2, b, y), tev(a2, a, x))
+                  for (a2, b2) in r_output_pairs(i, j) if (r := rv(a2, b2, i, j))]
+            tr = [(-r, tev(i, i2, x), tev(j, j2, y))
+                  for (i2, j2) in r_output_pairs(a, b) if (r := rv(a, b, i2, j2))]
+            yield (a, b, i, j), _products(rt + tr)
 
     return _window_report(
         "rtt", "abij", cases(), n - 1, trunc, t0,
@@ -447,11 +452,9 @@ def check_zf(
 
     def cases():
         for alpha, beta in product(range(n + 1), repeat=2):
-            terms = _products(1, ex[(alpha, y)], ex[(beta, x)])
-            for (g, d) in r_output_pairs(beta, alpha):
-                if r := rv(beta, alpha, g, d):
-                    terms += _products(-r, ex[(g, x)], ex[(d, y)])
-            yield (alpha, beta), terms
+            rx = [(-r, ex[(g, x)], ex[(d, y)])
+                  for (g, d) in r_output_pairs(beta, alpha) if (r := rv(beta, alpha, g, d))]
+            yield (alpha, beta), _products([(1, ex[(alpha, y)], ex[(beta, x)])] + rx)
 
     return _window_report(
         "zf", "alphabeta", cases(), n * (n - 1) // 2, trunc, t0,
@@ -486,10 +489,12 @@ def check_hat(n: int, trunc: FockTruncation, t0: Fraction) -> CheckReport:
     cases = (
         (
             (a, b),
-            _products(t if a > b else 1, xev[b], xev[a])
-            + _products(-t if a < b else -1, xev[a], xev[b])
-            + _products(-1, xev[a], hev[b])
-            + _products(1, hev[a], xev[b]),
+            _products([
+                (t if a > b else 1, xev[b], xev[a]),
+                (-t if a < b else -1, xev[a], xev[b]),
+                (-1, xev[a], hev[b]),
+                (1, hev[a], xev[b]),
+            ]),
         )
         for a, b in product(range(n + 1), repeat=2)
     )

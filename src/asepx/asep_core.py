@@ -251,30 +251,44 @@ def canonicalize_values(
     has positive leading coefficient.  Equal coefficients of the returned vector are
     one object, so a vector that callers keep holds each distinct
     coefficient once.
+
+    The work is done once per distinct nonzero value, not once per
+    configuration: a stationary vector repeats each value over a cyclic
+    orbit.  The gcd runs over the distinct values, smallest degree
+    first, and takes a `poly_gcd` only for a value that the running gcd
+    does not divide, which one division decides; the quotients of those
+    divisions are kept and reused while the gcd stays the same.  The
+    result does not depend on this order: the gcd over Q[t] is unique up
+    to a constant factor, and content and sign then fix that factor, so
+    this is the unique canonical vector.
     """
     polys = [values.get(c, P_ZERO) for c in basis.configs]
-    if not any(polys):
+    distinct = [p for p in dict.fromkeys(polys) if p]  # in configuration order
+    if not distinct:
         raise ValueError("cannot canonicalize the zero vector")
-    g = P_ZERO
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = p if g.is_zero() else poly_gcd(g, p)
+    by_degree = sorted(distinct, key=lambda p: p.degree)
+    # primitive, so that integer numerators give int quotients
+    g = primitive(by_degree[0])
+    quotients: dict[Poly, Poly] = {}  # value: its quotient by the current g
+    for p in by_degree[1:]:
         if g.degree == 0:
             break
-    if g.degree > 0:
-        g = primitive(g)  # so that integer numerators give int quotients
-        polys = [p // g for p in polys]
-    scale = content(polys)
-    if next(p for p in polys if not p.is_zero()).leading() < 0:
+        q, r = p.divmod(g)
+        if r:
+            g, quotients = primitive(poly_gcd(g, p)), {}
+        else:
+            quotients[p] = q
+    divided = [quotients.get(p) or p // g for p in distinct] if g.degree > 0 else distinct
+    scale = content(divided)
+    if divided[0].leading() < 0:
         scale = -scale
-    if scale != 1:
-        polys = [p.scale(1 / scale) for p in polys]
     shared: dict[Fraction, Fraction] = {}
-    return {
-        c: Poly._of(tuple(shared.setdefault(x, x) for x in p.coeffs))
-        for c, p in zip(basis.configs, polys)
-    }
+    canon = {P_ZERO: P_ZERO}
+    for p, d in zip(distinct, divided):
+        if scale != 1:
+            d = d.scale(1 / scale)
+        canon[p] = Poly._of(tuple(shared.setdefault(x, x) for x in d.coeffs))
+    return {c: canon[p] for c, p in zip(basis.configs, polys)}
 
 
 @dataclass

@@ -7,7 +7,7 @@ from asepx import asep_core
 from asepx.asep_core import KernelError, Multiplicity, SectorBasis
 from asepx.mlq import SectorVector, iter_mlqs
 from asepx.oscillator import word_imbalance
-from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc, poly_gcd
+from asepx.scalar import P_ONE, P_ZERO, Poly, RatFunc, content, poly_gcd, primitive
 
 
 def poly(*coeffs) -> Poly:
@@ -244,6 +244,31 @@ def bareiss_stationary(m: Multiplicity) -> dict[tuple[int, ...], Poly]:
     """Oracle: `stationary_kernel` with `bareiss_kernel_vector` as its solver."""
     with patch.object(asep_core, "_kernel_vector", bareiss_kernel_vector):
         return asep_core.stationary_kernel(m)
+
+
+def canonicalize_per_configuration(
+    basis: SectorBasis, values: dict[tuple[int, ...], Poly]
+) -> dict[tuple[int, ...], Poly]:
+    """Oracle: `canonicalize_values` by one gcd and one division per configuration."""
+    polys = [values.get(c, P_ZERO) for c in basis.configs]
+    if not any(polys):
+        raise ValueError("cannot canonicalize the zero vector")
+    g = P_ZERO
+    for p in polys:
+        if p.is_zero():
+            continue
+        g = p if g.is_zero() else poly_gcd(g, p)
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        g = primitive(g)  # so that integer numerators give int quotients
+        polys = [p // g for p in polys]
+    scale = content(polys)
+    if next(p for p in polys if not p.is_zero()).leading() < 0:
+        scale = -scale
+    if scale != 1:
+        polys = [p.scale(1 / scale) for p in polys]
+    return dict(zip(basis.configs, polys))
 
 
 @pytest.fixture

@@ -30,7 +30,13 @@ from asepx.algebra_checks import (
 from asepx.asep_core import Multiplicity, stationary_kernel
 from asepx.ctm import _x_eval_terms, build_X, check_recursion
 from asepx.mlq import _pairing_images
-from asepx.oscillator import FockTruncation, _direct_witness, multimode_sum_is_zero, trace_pem
+from asepx.oscillator import (
+    FockTruncation,
+    _direct_witness,
+    multimode_sum_is_zero,
+    multimode_words_mul,
+    trace_pem,
+)
 from asepx.scalar import P, Poly, RatFunc, random_point, residue
 
 from conftest import poly, rf, sparse
@@ -313,11 +319,11 @@ class TestZF:
 
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
-                terms = (
-                    _products(residue(x0 - t0 * y0), ev(a, y), ev(b, x))
-                    + _products(-residue((1 - t0) * x0), ev(a, x), ev(b, y))
-                    + _products(-residue(x0 - y0), ev(b, x), ev(a, y))
-                )
+                terms = _products([
+                    (residue(x0 - t0 * y0), ev(a, y), ev(b, x)),
+                    (-residue((1 - t0) * x0), ev(a, x), ev(b, y)),
+                    (-residue(x0 - y0), ev(b, x), ev(a, y)),
+                ])
                 assert multimode_sum_is_zero(terms, window, t)
 
 
@@ -387,6 +393,61 @@ def test_cleared_coefficients_stay_below_p():
         for term in (t for h in hat_operators(n) for t in h.terms):
             assert term.coeff in {poly(1, -1).scale(k) for k in range(1, n + 1)}
         assert 4 * m_n**2 * n * 2 ** (2 * n - 1) < 2**38 < P
+
+
+class TestProducts:
+    """A case's terms hold one term per distinct product word."""
+
+    @staticmethod
+    def _recorded(monkeypatch, kind, **kwargs):
+        """Run a check and return its cases as (expanded terms, merged terms)."""
+        import asepx.algebra_checks as checks
+
+        merged, cases = checks._products, []
+
+        def recording(factors):
+            factors = list(factors)
+            expanded = [
+                (scale * c1 * c2 % P, multimode_words_mul(w1, w2))
+                for scale, left, right in factors
+                for c1, w1 in left
+                for c2, w2 in right
+            ]
+            cases.append((expanded, merged(factors)))
+            return cases[-1][1]
+
+        monkeypatch.setattr(checks, "_products", recording)
+        report = run_check(kind, n=3, fock_dim=10, trials=1, **kwargs)
+        monkeypatch.undo()
+        return report, cases
+
+    @pytest.mark.parametrize("kind", ["rtt", "zf", "hat"])
+    def test_terms_are_the_expanded_terms_merged(self, monkeypatch, kind):
+        report, cases = self._recorded(monkeypatch, kind)
+        assert report.passed and cases
+        for expanded, terms in cases:
+            words = [w for _, w in terms]
+            assert len(set(words)) == len(words)
+            assert words == list(dict.fromkeys(w for _, w in expanded))
+            sums = dict.fromkeys(words, 0)
+            for c, w in expanded:
+                sums[w] = (sums[w] + c) % P
+            assert terms == [(c, w) for w, c in sums.items()]
+        # equal words do meet, so the merge builds fewer terms
+        assert sum(len(t) for _, t in cases) < sum(len(e) for e, _ in cases)
+
+    def test_witnesses_read_as_over_the_expanded_terms(self, monkeypatch):
+        import asepx.algebra_checks as checks
+
+        monkeypatch.setattr(checks, "r_element", _doubled_r(checks.r_element))
+        report, cases = self._recorded(monkeypatch, "zf")
+        assert not report.passed
+        window = FockTruncation(10).safe_window(2)
+        t = residue(report.params["t"])
+        failing = [(e, m) for e, m in cases if not multimode_sum_is_zero(m, window, t)]
+        assert failing
+        for expanded, terms in failing:
+            assert _direct_witness(terms, window, t) == _direct_witness(expanded, window, t)
 
 
 class TestVerifyStationary:

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from asepx.asep_core import (
     KernelError,
@@ -20,9 +21,17 @@ from asepx.asep_core import (
     nonzero_residual,
     stationary_kernel,
 )
+from asepx.ctm import mp_stationary
+from asepx.mlq import mlq_state
 from asepx.scalar import P_ZERO, Poly, RatFunc, lift_polys, random_point
 
-from conftest import bareiss_kernel_vector, bareiss_stationary, local_markov, poly
+from conftest import (
+    bareiss_kernel_vector,
+    bareiss_stationary,
+    canonicalize_per_configuration,
+    local_markov,
+    poly,
+)
 from test_scalar import _coeffs, _nonzero_polys, _polys
 
 
@@ -416,6 +425,7 @@ def _lagrange(xs, ys):
 
 
 _SIX = SectorBasis(Multiplicity((1, 1, 1)))
+_TWELVE = SectorBasis(Multiplicity((2, 1, 1)))
 
 
 class TestCanonicalize:
@@ -462,6 +472,74 @@ class TestCanonicalize:
         assert gcd(*(a.numerator for a in coeffs)) == 1
         first = next(canon[c] for c in _SIX.configs if canon[c])
         assert first.leading() > 0
+
+    # values drawn from a pool of at most 4 (pick 0 is a zero entry), times
+    # one common factor and one scale
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_nonzero_polys, min_size=1, max_size=4),
+           st.lists(st.integers(0, 4), min_size=12, max_size=12),
+           _nonzero_polys, _coeffs.filter(bool))
+    # a constant common factor and a negative first entry
+    @example([poly(-2, 1), poly(3)], [1, 0, 2, 1, 0, 2, 1, 1, 2, 0, 0, 1],
+             poly(Fraction(-3, 2)), Fraction(1))
+    # the smallest-degree value (t + 1)(t - 2) does not divide (t^2 + 3)(t - 2)
+    @example([poly(1, 1), poly(3, 0, 1), poly(0, 0, 0, 1)], [2, 1, 3, 0, 3, 2, 1, 1, 2, 3, 0, 2],
+             poly(-2, 1), Fraction(5, 3))
+    # (t + 1) divides (t + 1)(t + 5), then t^3 + 2 takes the gcd down to
+    # the common factor, so the quotient by the first gcd is stale
+    @example([poly(1, 1), poly(5, 6, 1), poly(2, 0, 0, 1)], [3, 0, 2, 1, 2, 3, 1, 0, 0, 2, 3, 1],
+             poly(Fraction(1, 2), 0, 3), Fraction(-7, 6))
+    # only zero entries
+    @example([poly(1)], [0] * 12, poly(1), Fraction(1))
+    def test_matches_the_per_configuration_oracle(self, pool, picks, factor, r):
+        values = {
+            c: (pool[k % len(pool)] * factor).scale(r) if k else P_ZERO
+            for c, k in zip(_TWELVE.configs, picks)
+        }
+        if not any(picks):
+            for canonicalize in (canonicalize_values, canonicalize_per_configuration):
+                with pytest.raises(ValueError, match="zero vector"):
+                    canonicalize(_TWELVE, values)
+            return
+        got = canonicalize_values(_TWELVE, values)
+        want = canonicalize_per_configuration(_TWELVE, values)
+        assert got == want
+        assert [p.to_json() for p in got.values()] == [p.to_json() for p in want.values()]
+
+    @pytest.mark.parametrize("build, counts", [(mp_stationary, (2, 1, 1, 1)),
+                                               (mlq_state, (2, 1, 3))])
+    def test_one_division_per_distinct_value(self, monkeypatch, build, counts):
+        import asepx.asep_core as core
+
+        vec = build(Multiplicity(counts))
+        distinct = {p for p in vec.nums.values() if p}
+        gcd, divmod_ = core.poly_gcd, Poly.divmod
+        gcd_values, exact, inexact, in_gcd = [], Counter(), Counter(), []
+
+        def counted_gcd(g, p):
+            gcd_values.append(p)
+            in_gcd.append(True)
+            try:
+                return gcd(g, p)
+            finally:
+                in_gcd.pop()
+
+        def counted_divmod(p, g):
+            q, r = divmod_(p, g)
+            if not in_gcd and p in distinct:
+                (inexact if r else exact)[p] += 1
+            return q, r
+
+        monkeypatch.setattr(core, "poly_gcd", counted_gcd)
+        monkeypatch.setattr(Poly, "divmod", counted_divmod)
+        canon = vec.canonical()
+        monkeypatch.undo()
+        assert canon == canonicalize_per_configuration(vec.basis, vec.nums)
+        # the per-configuration loop took a gcd for all but the first of
+        # the 60 configurations
+        assert len(vec.basis.configs) == 60 and len(gcd_values) < len(distinct)
+        assert exact == Counter(dict.fromkeys(distinct, 1))
+        assert inexact == Counter(gcd_values)
 
 
 class TestBasicMultiplicities:
