@@ -2,25 +2,26 @@
 
 The layer operator for local state alpha is a finite sum of terms
 (z-degree, oscillator word per Fock mode), built by the rank recursion
-from a column operator T; `check_recursion` tests that recursion again
-as a truncated-matrix identity.  Stationary probabilities are traces of
-layer products at z = 1 over all modes, normal-ordered mode by mode by
-`oscillator.mul_word` (each (monomial, word) once) and summed in closed
-form at q = 1 by `oscillator.trace_sum`.  The rewrite rules keep each
-mode's ladder imbalance, so a partial product is expanded only if the
-terms of the remaining sites can bring every mode back to balance.  A
-trace is invariant under cyclic shift, so a sector's traces are taken
-once per cyclic orbit.  Every denominator is a product of factors (1 - t^j)
-known in advance, carried as an exponent map {j: multiplicity}; a trace
-is lifted to a larger map by multiplying in the missing factors
+X_a = sum_i X~_i T_{i a} from a column operator T; `check_recursion`
+tests that recursion again as a truncated-matrix identity.  Stationary
+probabilities are traces of layer products at z = 1, q = 1, taken by the
+same recursion: T's modes are disjoint from X~'s, so a rank-n trace sums,
+over rows tau, T's n-1 mode-word traces times the rank-(n-1) trace of
+tau.  Each word is traced once (`oscillator.trace_sum` of its normal
+form), each lower-rank trace once per rotation class; rank 2 has one
+mode, expanded site by site.  The rewrite rules keep each mode's ladder
+imbalance, so a row or partial product is dropped unless the remaining
+sites can balance every mode.  Traces are cyclic, so a sector's are
+taken once per cyclic orbit.  Every denominator is a product of factors
+(1 - t^j) known in advance, carried as an exponent map {j: multiplicity};
+a trace is lifted to a larger map by multiplying in the missing factors
 (`scalar.over_common_map`: no gcd, lcm or division), so a sector's
 traces share one map, the `SectorVector` denominator.
 
-Mode numbering: a term's words form one `ModeWords`, one word per mode.
-The rank-n operator's modes are the n-1 modes of the column operator T
-(modes 1..n-1) followed by the modes of the embedded rank-(n-1)
-operator, so the recursion builds each term's words as T's words
-concatenated with the embedded term's words.
+Mode numbering: the rank-n operator's modes are the n-1 modes of T
+(modes 1..n-1) followed by the embedded rank-(n-1) operator's, so each
+term's words (one `ModeWords`) are T's words followed by the embedded
+term's.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, sub
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from .asep_core import Config, Multiplicity, SectorBasis, SectorVector, cyclic_orbit_reps
 from .oscillator import (
@@ -44,10 +45,11 @@ from .oscillator import (
     OscWord,
     _window_report,
     mul_word,
+    normal_order,
     trace_sum,
     word_imbalance,
 )
-from .scalar import P, P_ONE, Poly, over_common_map, qt_product, residue
+from .scalar import P, P_ONE, P_ZERO, Poly, over_common_map, qt_product, residue
 
 
 @dataclass(frozen=True)
@@ -128,96 +130,93 @@ def build_X(n: int, alpha: int) -> XOperator:
 # traces
 
 
-@lru_cache(maxsize=None)
-def _mul_word(pem: PEM, word: OscWord) -> tuple[tuple[PEM, int, bool], ...]:
-    """The monomial pem right-multiplied by word, normal-ordered.
-
-    Returns (monomial, k, negative) items, one per coefficient
-    (-1)**negative * t^k.  A layer term's mode words are single letters,
-    and one rewrite rule takes a monomial to monomials with such signed
-    monomial coefficients, so the expansion applies each by a shift and a
-    sign; any other coefficient raises.
-    """
-    out = []
-    for pem2, c in mul_word({pem: P_ONE}, word).items():
-        k = c.degree
-        if c.coeffs[k] not in (1, -1) or any(c.coeffs[:k]):
-            raise AssertionError(f"coefficient {c} of {pem} * {word} is not a signed monomial")
-        out.append((pem2, k, c.coeffs[k] < 0))
-    return tuple(out)
-
-
-def _signed_shift(p: Poly, k: int, negative: bool) -> Poly:
-    """p * (-1)**negative * t^k."""
-    if k:
-        p = p.shift(k)
-    return -p if negative else p
+def _suffix_bounds(sites: list[list[tuple[int, ...]]]) -> list[tuple[range, ...]]:
+    """Per mode, the range of imbalances that sites s, s+1, ... can sum to, for each
+    s and past the last site; `sites` holds each site's imbalance vectors."""
+    bounds = [(range(1),) * len(sites[0][0])]
+    for options in reversed(sites):
+        bounds.append(tuple(range(r.start + min(d), r.stop + max(d))
+                            for r, d in zip(bounds[-1], zip(*options))))
+    return bounds[::-1]
 
 
 @lru_cache(maxsize=None)
-def _reachable(n: int, alphas: Config) -> frozenset[tuple[int, ...]]:
-    """Per-mode imbalance vectors that one term per site of X_{alphas} can sum to."""
-    if not alphas:
-        return frozenset({(0,) * (n * (n - 1) // 2)})
-    rest = _reachable(n, alphas[1:])
-    heads = {tuple(map(word_imbalance, term.words)) for term in build_X(n, alphas[0]).terms}
-    return frozenset(tuple(map(add, h, r)) for h in heads for r in rest)
+def _word_trace(word: OscWord) -> tuple[Poly, Counter]:
+    """tr(word) over one mode at q = 1: the `trace_sum` of its normal form."""
+    return trace_sum({(pem,): c for pem, c in normal_order(word).items()}, 1)
 
 
-def _balanced_terms(sigma: Config) -> dict[tuple[PEM, ...], Poly]:
-    """The layer product X_{s_1} ... X_{s_L} at z = 1 as {normal monomials: coeff}.
-
-    Keys hold one normal monomial (p, e, m) per mode.  The product is
-    expanded site by site, each mode normal-ordered by the memoized
-    `_mul_word`.  The rewrite rules keep each mode's ladder imbalance
-    p - m, so a (partial product, term) pair is dropped before any
-    normal ordering unless the terms of the remaining sites can cancel
-    its imbalance vector (`_reachable`); only balanced monomials
-    (p == m in every mode) survive.
-    """
-    n = max(sigma)
-    if n < 1:
-        raise ValueError("configuration has no particles")
-    nmodes = n * (n - 1) // 2
-    ops = [[(term, tuple(map(word_imbalance, term.words))) for term in build_X(n, alpha).terms]
-           for alpha in range(n + 1)]
-
-    partial: dict[tuple[PEM, ...], Poly] = {((0, 0, 0),) * nmodes: P_ONE}
+def _rank_two_terms(sigma: Config) -> dict[tuple[PEM], Poly]:
+    """The rank-2 layer product at z = 1 as {(normal monomial,): coeff}, balanced only,
+    expanded site by site (every term has coefficient 1).  A (monomial, term)
+    pair is dropped before normal ordering unless the remaining sites can
+    cancel its imbalance; each site's imbalances form an interval, so the
+    suffix bounds are exact."""
+    ops = [[term.words[0] for term in build_X(2, alpha).terms] for alpha in range(3)]
+    bounds = _suffix_bounds([[(word_imbalance(w),) for w in ops[alpha]] for alpha in sigma])
+    partial: dict[PEM, Poly] = {(0, 0, 0): P_ONE}
     for site, alpha in enumerate(sigma):
-        cancel = _reachable(n, sigma[site + 1:])
-        nxt: dict[tuple[PEM, ...], Poly] = {}
-        for key, coeff in partial.items():
-            owed = [m - p for p, _, m in key]
-            for term, imbalance in ops[alpha]:
-                if tuple(map(sub, owed, imbalance)) not in cancel:
-                    continue
-                scaled = coeff if term.coeff == P_ONE else coeff * term.coeff
-                expansions: list[tuple[tuple[PEM, ...], Poly]] = [((), scaled)]
-                for pem, word in zip(key, term.words):
-                    parts = _mul_word(pem, word) if word else ((pem, 0, False),)
-                    expansions = [
-                        (kacc + (pem2,), _signed_shift(cacc, k, negative))
-                        for kacc, cacc in expansions
-                        for pem2, k, negative in parts
-                    ]
-                for nkey, ncoeff in expansions:
-                    cur = nxt.get(nkey)
-                    new = ncoeff if cur is None else cur + ncoeff
-                    if new:
-                        nxt[nkey] = new
-                    elif cur is not None:
-                        del nxt[nkey]
-        partial = nxt
-    return partial
+        nxt: dict[PEM, Poly] = {}
+        for word in ops[alpha]:
+            d = word_imbalance(word)
+            kept = {pem: c for pem, c in partial.items()
+                    if pem[2] - pem[0] - d in bounds[site + 1][0]}
+            for pem, c in mul_word(kept, word).items():
+                nxt[pem] = nxt[pem] + c if pem in nxt else c
+        partial = {pem: c for pem, c in nxt.items() if c}
+    return {(pem,): c for pem, c in partial.items()}
+
+
+@lru_cache(maxsize=None)
+def _rank_trace(n: int, sigma: Config) -> tuple[Poly, Counter]:
+    """tr(X_{s_1} ... X_{s_L}) of rank n at q = 1, z = 1, as (numerator, exponent map).
+
+    The sum over the rows tau with every T_{tau_s s_s} present (each T
+    entry has coefficient 1), walked site by site, of the product of
+    T's n-1 mode-word traces and the rank-(n-1) trace of tau's smallest
+    rotation.  Terms sharing a rotation class are summed before its
+    trace multiplies them in, and numerators sharing an exponent map
+    before the maps are lifted to one.  Rank <= 1 traces are 1.
+    """
+    if n <= 1:
+        return P_ONE, Counter()
+    if n == 2:
+        return trace_sum(_rank_two_terms(sigma), 1)
+    tmat = build_T(n)
+    columns = [[(i, tuple(map(word_imbalance, t.words)), t.words)
+                for (i, a), t in tmat.items() if a == alpha] for alpha in sigma]
+    bounds = _suffix_bounds([[d for _, d, _ in options] for options in columns])
+    rows = [((), (0,) * (n - 1), ((),) * (n - 1))]
+    for site, options in enumerate(columns):
+        rows = [(tau + (i,), imb2, tuple(map(add, words, ws)))
+                for tau, imb, words in rows for i, d, ws in options
+                for imb2 in [tuple(map(add, imb, d))]
+                if all(-b in r for b, r in zip(imb2, bounds[site + 1]))]
+    by_class: dict[Config, dict[frozenset, Poly]] = {}
+    for tau, _, words in rows:
+        wnums, wmaps = zip(*map(_word_trace, words))
+        num, exps = reduce(mul, wnums), sum(wmaps, Counter())
+        sums = by_class.setdefault(min(tau[k:] + tau[:k] for k in range(len(tau))), {})
+        key = frozenset(exps.items())
+        sums[key] = sums.get(key, P_ZERO) + num
+    parts: dict[frozenset, Poly] = {}
+    for tau, sums in by_class.items():
+        lnum, lexps = _rank_trace(n - 1, tau)
+        for key, num in sums.items():
+            full = frozenset((Counter(dict(key)) + lexps).items())
+            parts[full] = parts.get(full, P_ZERO) + num * lnum
+    nums, exps = over_common_map(1, {key: (num, Counter(dict(key)))
+                                     for key, num in parts.items() if num})
+    return sum(nums.values(), P_ZERO), exps
 
 
 def mp_trace(sigma: Config) -> tuple[Poly, Counter]:
-    """Unnormalized stationary probability tr(X_{s_1} ... X_{s_L}) at q = 1, z = 1.
-
-    Returns (numerator, exponent map of the denominator): the
-    `oscillator.trace_sum` of the balanced monomials of the layer product.
-    """
-    return trace_sum(_balanced_terms(sigma), 1)
+    """Unnormalized stationary probability tr(X_{s_1} ... X_{s_L}) at q = 1, z = 1,
+    as (numerator, exponent map of the denominator): `_rank_trace` at n = max(sigma)."""
+    n = max(sigma)
+    if n < 1:
+        raise ValueError("configuration has no particles")
+    return _rank_trace(n, sigma)
 
 
 def mp_stationary(m: Multiplicity) -> SectorVector:

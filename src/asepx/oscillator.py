@@ -18,9 +18,9 @@ using the confluent, terminating rules of `mul_letter`
 The trace tr(q^h (a+)^p k^e (a-)^p) over F is a finite sum of geometric
 series (`trace_pem`), with q substituted as a rational number.  One
 path sums such traces: `trace_sum` takes monomials with one (p, e, m)
-per mode, so it serves the single-mode traces `trace_qh` and
-`s_element` and the multi-mode traces of `ctm.mp_trace` alike, and
-returns a numerator over an exponent map of factors (1 - q t^k).
+per mode, so it serves the single-mode traces of `trace_qh`,
+`s_element` and `ctm`'s word and rank-2 traces alike, and returns a
+numerator over an exponent map of factors (1 - q t^k).
 
 The point action `apply_word_to_level`, the window zero test
 `multimode_sum_is_zero` and `_window_report`, the one harness that runs

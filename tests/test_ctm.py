@@ -1,9 +1,10 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
-from operator import mul
+from operator import add, mul, or_, sub
 
 import pytest
 
@@ -32,11 +33,13 @@ from asepx.oscillator import (
     mul_word,
     normal_order,
     trace_pem,
+    trace_sum,
     word_imbalance,
 )
-from asepx.scalar import Poly, RatFunc, qt_product, random_point
+from asepx.scalar import P_ONE, Poly, RatFunc, qt_product, random_point
 
 from conftest import fock_action, one_minus_t_pow, poly, rf, sparse
+from test_asep_core import EXTENDED_SECTORS
 
 
 def W(pattern: str):
@@ -322,7 +325,7 @@ def _mp_value(sigma):
 def _per_key_trace(sigma):
     """Oracle: the trace summed monomial by monomial as reduced rational functions."""
     total = RatFunc(Poly())
-    for key, coeff in ctm._balanced_terms(sigma).items():
+    for key, coeff in _joint_balanced_terms(sigma).items():
         value = RatFunc(coeff)
         for p, e, _ in key:
             den = reduce(mul, (one_minus_t_pow(e + k) for k in range(p + 1)))
@@ -331,13 +334,99 @@ def _per_key_trace(sigma):
     return total
 
 
+def _clear_ctm_caches():
+    for cached in vars(ctm).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the joint expansion of all modes at once: an oracle for L <= 5
+
+
+@cache
+def _mul_word(pem, word):
+    """The monomial pem right-multiplied by word, normal-ordered.
+
+    Returns (monomial, k, negative) items, one per coefficient
+    (-1)**negative * t^k.  A layer term's mode words are single letters,
+    and one rewrite rule takes a monomial to monomials with such signed
+    monomial coefficients, so the expansion applies each by a shift and a
+    sign; any other coefficient raises.
+    """
+    out = []
+    for pem2, c in mul_word({pem: P_ONE}, word).items():
+        k = c.degree
+        if c.coeffs[k] not in (1, -1) or any(c.coeffs[:k]):
+            raise AssertionError(f"coefficient {c} of {pem} * {word} is not a signed monomial")
+        out.append((pem2, k, c.coeffs[k] < 0))
+    return tuple(out)
+
+
+def _signed_shift(p, k, negative):
+    """p * (-1)**negative * t^k."""
+    if k:
+        p = p.shift(k)
+    return -p if negative else p
+
+
+@cache
+def _reachable(n, alphas):
+    """Per-mode imbalance vectors that one term per site of X_{alphas} can sum to."""
+    if not alphas:
+        return frozenset({(0,) * (n * (n - 1) // 2)})
+    rest = _reachable(n, alphas[1:])
+    heads = {tuple(map(word_imbalance, term.words)) for term in build_X(n, alphas[0]).terms}
+    return frozenset(tuple(map(add, h, r)) for h in heads for r in rest)
+
+
+def _joint_balanced_terms(sigma):
+    """The layer product X_{s_1} ... X_{s_L} at z = 1 as {normal monomials: coeff},
+    with one normal monomial (p, e, m) per mode in each key.
+
+    Expanded site by site over all n(n-1)/2 modes at once, each mode
+    normal-ordered by `_mul_word`; a (partial product, term) pair is
+    dropped unless the remaining sites can cancel its imbalance vector
+    (`_reachable`), so only balanced monomials survive.  The trace of
+    this sum is the layer trace that `ctm` takes by the rank recursion.
+    """
+    n = max(sigma)
+    nmodes = n * (n - 1) // 2
+    ops = [[(term, tuple(map(word_imbalance, term.words))) for term in build_X(n, alpha).terms]
+           for alpha in range(n + 1)]
+    partial = {((0, 0, 0),) * nmodes: P_ONE}
+    for site, alpha in enumerate(sigma):
+        cancel = _reachable(n, sigma[site + 1:])
+        nxt = {}
+        for key, coeff in partial.items():
+            owed = [m - p for p, _, m in key]
+            for term, imbalance in ops[alpha]:
+                if tuple(map(sub, owed, imbalance)) not in cancel:
+                    continue
+                expansions = [((), coeff * term.coeff)]
+                for pem, word in zip(key, term.words):
+                    parts = _mul_word(pem, word) if word else ((pem, 0, False),)
+                    expansions = [(kacc + (pem2,), _signed_shift(cacc, k, negative))
+                                  for kacc, cacc in expansions for pem2, k, negative in parts]
+                for nkey, ncoeff in expansions:
+                    nxt[nkey] = nxt[nkey] + ncoeff if nkey in nxt else ncoeff
+        partial = {key: coeff for key, coeff in nxt.items() if coeff}
+    return partial
+
+
+def _trace_value(terms):
+    """`trace_sum` at q = 1 of a sum of balanced monomials, as one reduced rational function."""
+    num, exps = trace_sum(terms, 1)
+    return RatFunc(num, qt_product(1, exps))
+
+
 @cache
 def _normal_order(word):
     return tuple(normal_order(word).items())
 
 
 def _unpruned_balanced_terms(sigma):
-    """Oracle for `ctm._balanced_terms`: the whole layer product, one term per
+    """Oracle for `_joint_balanced_terms`: the whole layer product, one term per
     site in every way, each mode's whole word normal-ordered by `normal_order`,
     and the balanced keys kept.
 
@@ -371,15 +460,22 @@ def _unpruned_balanced_terms(sigma):
 
 
 class TestPrunedExpansion:
+    """The joint expansion (the oracle) against the unpruned one, and the rank
+    recursion of `ctm.mp_trace` against both."""
+
     @pytest.mark.parametrize("counts", [(1, 1, 1, 1), (2, 1, 1), (2, 1, 1, 1)])
     def test_matches_unpruned_expansion(self, counts):
         for sigma in SectorBasis(Multiplicity(counts)).configs:
-            assert ctm._balanced_terms(sigma) == _unpruned_balanced_terms(sigma), sigma
+            joint = _joint_balanced_terms(sigma)
+            assert joint == _unpruned_balanced_terms(sigma), sigma
+            assert _mp_value(sigma) == _trace_value(joint), sigma
 
     def test_matches_unpruned_expansion_at_rank_four(self):
         basis = SectorBasis(Multiplicity((1, 1, 1, 1, 1)))
         for sigma in sorted(set(cyclic_orbit_reps(basis.configs).values())):
-            assert ctm._balanced_terms(sigma) == _unpruned_balanced_terms(sigma), sigma
+            joint = _joint_balanced_terms(sigma)
+            assert joint == _unpruned_balanced_terms(sigma), sigma
+            assert _mp_value(sigma) == _trace_value(joint), sigma
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_reachable_sets_are_sums_over_term_choices(self, n):
@@ -390,38 +486,39 @@ class TestPrunedExpansion:
             for alphas in product(range(n + 1), repeat=length):
                 sums = {tuple(sum(v[k] for v in choice) for k in modes)
                         for choice in product(*(per_term[a] for a in alphas))}
-                assert ctm._reachable(n, alphas) == sums, alphas
+                assert _reachable(n, alphas) == sums, alphas
 
     def test_normal_orders_each_monomial_and_word_once(self, monkeypatch):
+        # the recursion normal-orders whole T-mode words, each balanced one once
         calls = []
 
-        def counting(terms, word):
-            calls.append((tuple(terms), word))
-            return mul_word(terms, word)
+        def counting(word):
+            calls.append(word)
+            return normal_order(word)
 
-        for cached in vars(ctm).values():
-            if hasattr(cached, "cache_clear"):
-                cached.cache_clear()
-        monkeypatch.setattr(ctm, "mul_word", counting)
+        _clear_ctm_caches()
+        monkeypatch.setattr(ctm, "normal_order", counting)
         m = Multiplicity((2, 1, 1, 1))
         got = mp_stationary(m).canonical()
         monkeypatch.undo()
         assert calls and len(calls) == len(set(calls))
+        assert not any(map(word_imbalance, calls))
         assert got == stationary_kernel(m)
 
     def test_every_part_is_a_signed_monomial(self, monkeypatch):
         products = []
+        exact = mul_word
 
         def recording(terms, word):
-            out = mul_word(terms, word)
+            out = exact(terms, word)
             products.append((terms, word, out))
             return out
 
-        ctm._mul_word.cache_clear()
-        monkeypatch.setattr(ctm, "mul_word", recording)
+        _mul_word.cache_clear()
+        monkeypatch.setattr(sys.modules[__name__], "mul_word", recording)
         basis = SectorBasis(Multiplicity((1, 1, 1, 1, 1)))
         for sigma in sorted(set(cyclic_orbit_reps(basis.configs).values())):
-            ctm._balanced_terms(sigma)
+            _joint_balanced_terms(sigma)
         monkeypatch.undo()
         assert products
         for terms, word, out in products:
@@ -429,13 +526,124 @@ class TestPrunedExpansion:
                        for c in out.values()), (terms, word)
             (pem,) = terms
             signed = {pem2: Poly.t_power(k, -1 if negative else 1)
-                      for pem2, k, negative in ctm._mul_word(pem, word)}
+                      for pem2, k, negative in _mul_word(pem, word)}
             assert signed == out
 
     def test_a_coefficient_that_is_no_signed_monomial_raises(self, monkeypatch):
-        monkeypatch.setattr(ctm, "mul_word", lambda terms, word: {(0, 0, 1): poly(1, 1)})
+        monkeypatch.setattr(sys.modules[__name__], "mul_word",
+                            lambda terms, word: {(0, 0, 1): poly(1, 1)})
         with pytest.raises(AssertionError, match="not a signed monomial"):
-            ctm._mul_word.__wrapped__((0, 0, 0), ("-",))
+            _mul_word.__wrapped__((0, 0, 0), ("-",))
+
+
+def _recursion_work(n, sigma, words, classes):
+    """Brute force over every row tau: the balanced T-mode words and the
+    (rank, smallest rotation) lower-rank keys that the rank-n trace of
+    sigma needs, added to `words` and `classes`."""
+    if n <= 2:
+        return
+    tmat = build_T(n)
+    for tau in product(*([i for i in range(n) if (i, a) in tmat] for a in sigma)):
+        ws = [sum((tmat[(i, a)].words[k] for i, a in zip(tau, sigma)), ()) for k in range(n - 1)]
+        if any(map(word_imbalance, ws)):
+            continue
+        words.update(ws)
+        key = (n - 1, min(tau[k:] + tau[:k] for k in range(len(tau))))
+        if key not in classes:
+            classes.add(key)
+            _recursion_work(*key, words, classes)
+
+
+def _sector_work(m):
+    """Sector m's orbit representatives, its balanced T-mode words and its
+    lower-rank keys, by `_recursion_work`."""
+    reps = set(cyclic_orbit_reps(SectorBasis(m).configs).values())
+    words, classes = set(), set()
+    for rep in reps:
+        _recursion_work(max(rep), rep, words, classes)
+    return reps, words, classes
+
+
+class TestRankRecursion:
+    @pytest.mark.parametrize("counts", [(2, 1, 1, 1), (1, 1, 1, 1, 1)])
+    def test_one_trace_per_word_and_per_lower_rotation_class(self, monkeypatch, counts):
+        ordered, traced = [], []
+        raw = ctm._rank_trace.__wrapped__
+
+        def counting_order(word):
+            ordered.append(word)
+            return normal_order(word)
+
+        @cache
+        def counting_trace(n, sigma):
+            traced.append((n, sigma))
+            return raw(n, sigma)
+
+        _clear_ctm_caches()
+        monkeypatch.setattr(ctm, "normal_order", counting_order)
+        monkeypatch.setattr(ctm, "_rank_trace", counting_trace)
+        m = Multiplicity(counts)
+        got = mp_stationary(m).canonical()
+        monkeypatch.undo()
+        reps, words, classes = _sector_work(m)
+        # no word of nonzero imbalance is normal-ordered, and each balanced one once
+        assert not any(map(word_imbalance, ordered))
+        assert len(ordered) == len(set(ordered)) and set(ordered) == words
+        # one trace per orbit, then one per lower-rank rotation class
+        assert set(traced) == classes | {(max(rep), rep) for rep in reps}
+        assert any(n == 2 for n, _ in classes)
+        assert got == stationary_kernel(m)
+
+    @pytest.mark.parametrize("sigma", [(0, 3), (0, 2, 3), (0, 2, 2, 3)])
+    def test_divergent_trace_at_rank_three(self, sigma):
+        with pytest.raises(DivergentTraceError):
+            mp_trace(sigma)
+
+    @pytest.mark.parametrize("target", ["_word_trace", "_rank_trace"])
+    def test_a_divergent_part_propagates(self, monkeypatch, target):
+        # one word, or one rank-2 rotation class, raises; mp_stationary must too
+        m = Multiplicity((2, 1, 1, 1))
+        _, words, classes = _sector_work(m)
+        bad = (max(words),) if target == "_word_trace" else max(classes)
+        real = getattr(ctm, target)
+
+        def raising(*args):
+            if args == bad:
+                raise DivergentTraceError("injected")
+            return real(*args)
+
+        _clear_ctm_caches()
+        monkeypatch.setattr(ctm, target, raising)
+        with pytest.raises(DivergentTraceError, match="injected"):
+            mp_stationary(m)
+
+    def test_cold_caches_repeat_the_same_work(self):
+        m = Multiplicity((1, 1, 1, 1, 1))
+        work = []
+        for clear in (True, False, True):
+            if clear:
+                _clear_ctm_caches()
+            before = [f.cache_info().misses for f in (ctm._word_trace, ctm._rank_trace)]
+            mp_stationary(m)
+            work.append([f.cache_info().misses - b
+                         for f, b in zip((ctm._word_trace, ctm._rank_trace), before)])
+        assert work[0] == work[2] and all(work[0]) and work[1] == [0, 0]
+        # every cache is an lru_cache, emptied by cache_clear
+        assert not [name for name, value in vars(ctm).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))]
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1)])
+def test_matches_kernel_at_rank_four(counts):
+    m = Multiplicity(counts)
+    assert mp_stationary(m).canonical() == stationary_kernel(m)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("counts", [*EXTENDED_SECTORS, (1, 1, 1, 1, 1, 1)], ids=str)
+def test_matches_kernel_on_extended_sectors(counts):
+    m = Multiplicity(counts)
+    assert mp_stationary(m).canonical() == stationary_kernel(m)
 
 
 class TestOrbitReduction:
@@ -496,34 +704,45 @@ class TestOrbitReduction:
         vec = mp_stationary(m)
         monkeypatch.undo()
         assert calls == Counter()
-        # the denominator is the sector-wide prod_j (1 - t^j)^{n_j}, n_j the
-        # largest multiplicity of factor j over the balanced monomials
+        # the denominator is the orbit traces' maps lifted to one; the
+        # recursion's maps cover every factor (1 - t^j) of every balanced
+        # monomial of the joint expansion, and may hold more
+        reps = set(cyclic_orbit_reps(vec.basis.configs).values())
+        common = reduce(or_, (mp_trace(rep)[1] for rep in reps))
+        assert vec.den == qt_product(1, common)
         need = Counter()
-        for rep in set(cyclic_orbit_reps(vec.basis.configs).values()):
-            for key in ctm._balanced_terms(rep):
+        for rep in reps:
+            for key in _joint_balanced_terms(rep):
                 need |= Counter(j for p, e, _ in key for j in range(e, e + p + 1))
-        assert vec.den == reduce(mul, (one_minus_t_pow(j) ** c for j, c in need.items()))
+        assert need and not need - common
         assert vec.canonical() == stationary_kernel(m)
 
     def test_one_closed_form_per_mode_of_each_multiset(self, monkeypatch):
         import asepx.oscillator as oscillator
 
-        calls = []
+        calls, sums = [], []
         closed_form = oscillator.trace_pem
 
         def counting(p, e, q):
             calls.append((p, e))
             return closed_form(p, e, q)
 
+        def recording(terms, q):
+            sums.append(terms)
+            return trace_sum(terms, q)
+
+        _clear_ctm_caches()
         monkeypatch.setattr(oscillator, "trace_pem", counting)
+        monkeypatch.setattr(ctm, "trace_sum", recording)
         m = Multiplicity((2, 1, 1, 1))
         got = mp_stationary(m).canonical()
         monkeypatch.undo()
-        # a monomial's trace depends only on the multiset of its (e, p) pairs
-        reps = set(cyclic_orbit_reps(SectorBasis(m).configs).values())
-        multisets = [{tuple(sorted((e, p) for p, e, _ in key)) for key in ctm._balanced_terms(rep)}
-                     for rep in reps]
-        assert len(calls) == sum(len(ranges) for per_rep in multisets for ranges in per_rep)
+        # one trace_sum per balanced word and per rank-2 rotation class; in
+        # each, a monomial's trace depends only on the multiset of its (e, p)
+        _, words, classes = _sector_work(m)
+        assert len(sums) == len(words) + len(classes)
+        multisets = [{tuple(sorted((e, p) for p, e, _ in key)) for key in terms} for terms in sums]
+        assert len(calls) == sum(len(ranges) for per_sum in multisets for ranges in per_sum)
         assert got == stationary_kernel(m)
 
 
