@@ -2,11 +2,11 @@
 
 Configurations are tuples of site values in {0..n}; the Markov matrix
 acts within each sector of fixed particle content.  The stationary
-vector is solved on the quotient by cyclic shifts, by evaluation at
-integer points mod P = 2**61 - 1 and interpolation in t, lifted to an
-integer polynomial vector that must annihilate the quotient exactly,
-canonically normalized to content 1, and certified by an exact H v = 0
-check on that canonical vector.
+vector is solved on the quotient by cyclic shifts, as a power series
+in t - t0 mod P = 2**61 - 1 from one factorization at a point t0, lifted
+to an integer polynomial vector that must annihilate the quotient
+exactly, canonically normalized to content 1, and certified by an exact
+H v = 0 check on that canonical vector.
 
 A continuous-time simulator with exponential waiting times serves as a
 statistical oracle for the exact results.
@@ -23,9 +23,8 @@ from math import inf, log
 from operator import mul
 from typing import Iterable, Iterator, Optional
 
-from .scalar import (P, P_ONE, P_ZERO, Poly, RatFunc, cauchy_interpolate_mod_p, content,
-                     eval_mod_p, interpolate_mod_p, lift_polys, null_vector_mod_p, poly_gcd,
-                     primitive)
+from .scalar import (P, P_ONE, P_ZERO, Poly, RatFunc, content, lift_polys, pade_mod_p, poly_gcd,
+                     primitive, residue, taylor_shift_mod_p)
 
 Config = tuple[int, ...]
 
@@ -141,59 +140,129 @@ def markov_sector(
 
 
 # ---------------------------------------------------------------------------
-# kernel solver: evaluation and interpolation mod P, certified exactly
+# kernel solver: t-adic lifting mod P, certified exactly
 
 
 def _kernel_vector(rows: list[dict[int, Poly]], dim: int) -> list[Poly]:
     """Unique (up to scale) kernel vector of the row system, else KernelError.
 
-    At t = 2, 3, ... the rows are solved over GF(P), each solution scaled
-    to 1 at one entry, the anchor.  A point of rank dim proves the kernel
-    zero, one of rank dim - 1 proves rank >= dim - 1 over Q(t); points of
-    lower rank are skipped, and if the first D + 1 points all are, the
-    rank is below dim - 1, since D, the sum of the rows' largest degrees,
-    bounds every (dim - 1)-minor.  A random combination of the solutions
-    is fitted as a fraction in t (Cauchy interpolation) to all points but
-    the last two.  Once `_fit_holds` on those two, each entry times the
-    fit's denominator is interpolated and lifted to an integer polynomial.
-    The lift is returned only if it annihilates the rows exactly; else more
-    points are taken, up to 2D + 3.
+    The rows are factored once over GF(P) at a point t0 = 2, 3, ...
+    (`_factor_mod_p`).  A t0 of rank dim proves the kernel zero, one of
+    rank dim - 1 proves
+    rank >= dim - 1 over Q(t); a t0 of lower rank is skipped, and if the
+    first D + 1 points all are, the rank is below dim - 1, since D, the sum
+    of the rows' largest degrees, bounds every (dim - 1)-minor.  The pivot
+    rows' kernel is then a power series in s = t - t0, 1 at the free
+    column, the anchor: each term is one sparse product with the rows'
+    higher Taylor coefficients at t0 and one replay of the factorization
+    (Dixon, Numer. Math. 1982, with s in place of p).  Once a Pade fit of a
+    random combination of the entries `_fit_predicts` two more terms, each
+    entry times the fit's denominator is shifted back to t and lifted to an
+    integer polynomial.  The lift is returned only if it annihilates the rows
+    exactly; else more terms are taken, up to 2D + 3: the entries are
+    fractions of degrees <= D, so 2D + 1 terms fix the fit.
     """
     bound = sum(max((p.degree for p in row.values()), default=0) for row in rows)
+    for t0 in range(2, bound + 3):
+        taylor = [{c: taylor_shift_mod_p([residue(a) for a in p.coeffs], t0) for c, p in row.items()}
+                  for row in rows]
+        steps, free = _factor_mod_p([{c: a[0] for c, a in row.items() if a[0]} for row in taylor],
+                                    dim)
+        if not free:
+            raise KernelError("kernel dimension 0 != 1")
+        if len(free) == 1:
+            break
+    else:
+        raise KernelError("kernel dimension > 1 at the first D + 1 points")
+    higher = [(r, c, k, a[k]) for r, row in enumerate(taylor) for c, a in row.items()
+              for k in range(1, len(a)) if a[k]]
     rng = random.Random(dim)
     weights = [rng.randrange(1, P) for _ in range(dim)]  # so no entry's degree cancels
-    xs, sols, probes, anchor = [], [], [], None
-    for t in range(2, 4 * bound + 6):  # at most D lower ranks and D zeros of the anchor
-        mat = [[row[c].residue_at(t) if c in row else 0 for c in range(dim)] for row in rows]
-        nullity, x = null_vector_mod_p(mat, dim)
-        if nullity == 0:
-            raise KernelError("kernel dimension 0 != 1")
-        if nullity > 1 or (anchor is not None and not x[anchor]):
-            if not xs and t - 1 > bound:
-                raise KernelError("kernel dimension > 1 at the first D + 1 points")
-            continue
-        if anchor is None:
-            anchor = next(j for j, v in enumerate(x) if v)
-        inv = pow(x[anchor], -1, P)
-        xs.append(t)
-        sols.append([v * inv % P for v in x])
-        probes.append(sum(map(mul, weights, sols[-1])) % P)
-        fit = cauchy_interpolate_mod_p(xs[:-2], probes[:-2]) if len(xs) > 2 else None
-        if fit and _fit_holds(fit, xs[-2:], probes[-2:]):
-            dens = [eval_mod_p(fit[1], x) for x in xs]
-            scaled = [[v * d % P for v in sol] for sol, d in zip(sols, dens)]
-            vec = lift_polys(interpolate_mod_p(xs, scaled))
+    xs: list[list[int]] = []  # the series' terms, each a vector
+    probes: list[int] = []  # the terms of the random combination
+    for n in range(2 * bound + 3):
+        b = [0] * len(rows)
+        for r, c, k, a in higher:
+            if k <= n:
+                b[r] -= a * xs[n - k][c]
+        x = [0] * dim
+        x[free[0]] = int(n == 0)
+        _solve_mod_p(steps, b, x)
+        xs.append(x)
+        probes.append(sum(map(mul, weights, x)) % P)
+        fit = pade_mod_p(probes[:-2], n // 2) if n >= 2 else None
+        if fit and _fit_predicts(fit, probes):
+            num, den = fit
+            ys = ([sum(map(mul, den, col[i::-1])) % P for i in range(max(len(num), len(den)))]
+                  for col in zip(*xs))
+            vec = lift_polys([taylor_shift_mod_p(y, -t0) for y in ys])
             terms = ((r, p, vec[c]) for r, row in enumerate(rows) for c, p in row.items())
             if vec is not None and not _nonzero_rows(terms, len(rows)):
                 return vec
-        if len(xs) >= 2 * bound + 3:
-            break
-    raise KernelError("no lift of the solutions mod P passed the exact residual")
+    raise KernelError("no lift of the series mod P passed the exact residual")
 
 
-def _fit_holds(fit: tuple[list[int], list[int]], xs: list[int], values: list[int]) -> bool:
-    """The stop test: whether the fitted fraction (num, den) takes the values at xs."""
-    return all(eval_mod_p(fit[0], x) == v * eval_mod_p(fit[1], x) % P for x, v in zip(xs, values))
+def _fit_predicts(fit: tuple[list[int], list[int]], series: list[int]) -> bool:
+    """The stop test: whether the Pade fit (num, den) of all terms of the series
+    but the last two predicts those two, that is, equals den * series there."""
+    num, den = fit
+    return all(sum(map(mul, den, series[i::-1])) % P == (num[i] if i < len(num) else 0)
+               for i in range(len(series) - 2, len(series)))
+
+
+def _factor_mod_p(rows: list[dict[int, int]], dim: int) -> tuple[list[tuple], list[int]]:
+    """Sparse Gaussian elimination of the rows {column: residue}, recorded:
+    (steps, the free columns).  Consumes `rows`.
+
+    Each step pivots on the shortest row left, at its column in the fewest
+    rows left, and is kept as (pivot row, pivot column, inverse pivot, the
+    columns and the values of the pivot row's other entries, [(row, factor)]
+    of the rows it eliminated).
+    """
+    col_rows: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+    left = {r for r, row in enumerate(rows) if row}
+    steps = []
+    while left:
+        pr = min(left, key=lambda r: len(rows[r]))
+        piv = rows[pr]
+        pc = min(piv, key=lambda c: len(col_rows[c]))
+        left.discard(pr)
+        for c in piv:
+            col_rows[c].discard(pr)
+        inv = pow(piv.pop(pc), -1, P)
+        targets = []
+        for r in col_rows.pop(pc):
+            row = rows[r]
+            f = row.pop(pc) * inv % P
+            targets.append((r, f))
+            for c, a in piv.items():
+                if c not in row:
+                    row[c] = -f * a % P
+                    col_rows[c].add(r)
+                elif v := (row[c] - f * a) % P:
+                    row[c] = v
+                else:
+                    del row[c]
+                    col_rows[c].discard(r)
+            if not row:
+                left.discard(r)
+        steps.append((pr, pc, inv, tuple(piv), tuple(piv.values()), targets))
+    pivots = {step[1] for step in steps}
+    return steps, [c for c in range(dim) if c not in pivots]
+
+
+def _solve_mod_p(steps: list[tuple], b: list[int], x: list[int]) -> None:
+    """Replay the recorded elimination on the right-hand side b, then solve the
+    pivot rows for their columns of x, given x's free columns."""
+    for pr, _, _, _, _, targets in steps:
+        if bp := b[pr] % P:
+            for r, f in targets:
+                b[r] -= f * bp
+    for pr, pc, inv, cols, vals, _ in reversed(steps):
+        x[pc] = (b[pr] - sum(map(mul, vals, map(x.__getitem__, cols)))) * inv % P
 
 
 def _orbit_reduced_kernel(mat: dict[tuple[int, int], Poly], basis: SectorBasis) -> list[Poly]:
@@ -311,9 +380,10 @@ class SectorVector:
 def stationary_kernel(m: Multiplicity) -> dict[Config, Poly]:
     """The unique stationary vector of the sector, canonically normalized.
 
-    Solved mod P and interpolated on the cyclic-orbit quotient
-    (`_kernel_vector`); the canonical vector is certified by an exact
-    H v = 0 check on the full sector.
+    Solved on the cyclic-orbit quotient by t-adic lifting mod P from one
+    sparse factorization (`_kernel_vector`), which returns only a lift that
+    annihilates the quotient exactly; the canonical vector is then
+    certified by an exact H v = 0 check on the full sector.
     """
     basis = SectorBasis(m)
     mat = markov_sector(m, basis)

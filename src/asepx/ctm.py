@@ -143,11 +143,11 @@ def _suffix_bounds(sites: list[list[tuple[int, ...]]]) -> list[tuple[range, ...]
 @lru_cache(maxsize=None)
 def _word_trace(word: OscWord) -> tuple[Poly, Counter]:
     """tr(word) over one mode at q = 1: the `trace_sum` of its normal form."""
-    return trace_sum({(pem,): c for pem, c in normal_order(word).items()}, 1)
+    return trace_sum(normal_order(word), 1)
 
 
-def _rank_two_terms(sigma: Config) -> dict[tuple[PEM], Poly]:
-    """The rank-2 layer product at z = 1 as {(normal monomial,): coeff}, balanced only,
+def _rank_two_terms(sigma: Config) -> dict[PEM, Poly]:
+    """The rank-2 layer product at z = 1 as {normal monomial: coeff}, balanced only,
     expanded site by site (every term has coefficient 1).  A (monomial, term)
     pair is dropped before normal ordering unless the remaining sites can
     cancel its imbalance; each site's imbalances form an interval, so the
@@ -164,7 +164,7 @@ def _rank_two_terms(sigma: Config) -> dict[tuple[PEM], Poly]:
             for pem, c in mul_word(kept, word).items():
                 nxt[pem] = nxt[pem] + c if pem in nxt else c
         partial = {pem: c for pem, c in nxt.items() if c}
-    return {(pem,): c for pem, c in partial.items()}
+    return partial
 
 
 @lru_cache(maxsize=None)

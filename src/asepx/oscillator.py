@@ -17,10 +17,10 @@ using the confluent, terminating rules of `mul_letter`
 
 The trace tr(q^h (a+)^p k^e (a-)^p) over F is a finite sum of geometric
 series (`trace_pem`), with q substituted as a rational number.  One
-path sums such traces: `trace_sum` takes monomials with one (p, e, m)
-per mode, so it serves the single-mode traces of `trace_qh`,
-`s_element` and `ctm`'s word and rank-2 traces alike, and returns a
-numerator over an exponent map of factors (1 - q t^k).
+path sums such traces: `trace_sum` takes a sum of normal-ordered
+monomials, so it serves the traces of `trace_qh`, `s_element` and
+`ctm`'s word and rank-2 traces alike, and returns a numerator over an
+exponent map of factors (1 - q t^k).
 
 The point action `apply_word_to_level`, the window zero test
 `multimode_sum_is_zero` and `_window_report`, the one harness that runs
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .scalar import (
@@ -194,26 +193,23 @@ def trace_pem(p: int, e: int, q: Fraction) -> Poly:
     return total
 
 
-def trace_sum(terms: Mapping[tuple[PEM, ...], Poly], q: Fraction) -> tuple[Poly, Counter]:
-    """tr(q^h . sum) of a sum {one (p, e, m) per mode: coeff} over all modes, as
+def trace_sum(terms: Mapping[PEM, Poly], q: Fraction) -> tuple[Poly, Counter]:
+    """tr(q^h . sum) of a sum {(p, e, m): coeff} of normal-ordered monomials, as
     (numerator, exponent map {k: multiplicity} of prod_k (1 - q t^k)).
 
-    A monomial's trace is the product of its modes' `trace_pem` closed
-    forms, so it depends only on the multiset of its (e, p) pairs: the
-    coefficients are summed per multiset, each multiset's closed forms
-    multiplied in once, and the multisets lifted to one map.  Raises
-    UnbalancedWordError when some mode has p != m.
+    A monomial's trace is its `trace_pem` closed form, which depends only
+    on its (e, p): the coefficients are summed per (e, p), each closed
+    form multiplied in once, and the forms lifted to one map.  Raises
+    UnbalancedWordError when some monomial has p != m.
     """
-    groups: dict[tuple[tuple[int, int], ...], Poly] = {}
-    for key, coeff in terms.items():
-        if any(p != m for p, _, m in key):
+    groups: dict[tuple[int, int], Poly] = {}
+    for (p, e, m), coeff in terms.items():
+        if p != m:
             raise UnbalancedWordError("unbalanced word")
-        ranges = tuple(sorted((e, p) for p, e, _ in key))
-        groups[ranges] = groups.get(ranges, P_ZERO) + coeff
+        groups[e, p] = groups.get((e, p), P_ZERO) + coeff
     nums, exps = over_common_map(q, {
-        ranges: (reduce(mul, (trace_pem(p, e, q) for e, p in ranges), coeff),
-                 Counter(k for e, p in ranges for k in range(e, e + p + 1)))
-        for ranges, coeff in groups.items()})
+        (e, p): (coeff * trace_pem(p, e, q), Counter(range(e, e + p + 1)))
+        for (e, p), coeff in groups.items()})
     return sum(nums.values(), P_ZERO), exps
 
 
@@ -225,7 +221,7 @@ def trace_qh(w: Union[OscWord, str], q: Fraction) -> RatFunc:
     DivergentTraceError when some required geometric series fails to
     converge (only possible at q = 1 with a k-free term).
     """
-    num, exps = trace_sum({(pem,): c for pem, c in normal_order(w).items()}, q)
+    num, exps = trace_sum(normal_order(w), q)
     return RatFunc(num, qt_product(q, exps))
 
 
@@ -262,7 +258,7 @@ def s_parts(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> tuple[Poly, Counter]
     weights = [s_weight(*bits) for bits in zip(i, a, j, b)]
     if None in weights:
         return P_ZERO, Counter()
-    num, exps = trace_sum({(pem,): c for pem, c in normal_order(sum(weights, ())).items()}, q)
+    num, exps = trace_sum(normal_order(sum(weights, ())), q)
     if exps[m - l]:  # 1 - q t^{m-l} cancels a factor of the trace's own map
         return num, exps - Counter({m - l: 1})
     return num * one_minus_qtk(q, m - l), exps

@@ -15,9 +15,10 @@ so no multivariate machinery is needed.
 The one modular layer: `P` is the prime 2**61 - 1, `residue` reduces a
 rational into GF(P) and `Poly.residue_at` evaluates a polynomial there.
 The point-evaluated identity checks run on these residues.  The kernel
-solver adds elimination (`null_vector_mod_p`), interpolation
-(`interpolate_mod_p`, `cauchy_interpolate_mod_p`) and the lift back to
-rationals (`lift_residue`, `lift_polys`) over GF(P).
+solver adds, for polynomials over GF(P), the Taylor shift between t and
+s = t - t0 (`taylor_shift_mod_p`), the Pade fit of a power series
+(`pade_mod_p`) and the lift back to rationals (`lift_residue`,
+`lift_polys`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul, or_
 from typing import Hashable, Iterable, Mapping, Optional, Union
@@ -271,39 +271,6 @@ def lift_polys(polys: list[list[int]]) -> Optional[list[Poly]]:
     return [Poly._of(tuple(c.numerator * (scale // c.denominator) for c in cs)) for cs in lifted]
 
 
-def null_vector_mod_p(mat: list[list[int]], dim: int) -> tuple[int, Optional[list[int]]]:
-    """(nullity, v) of a matrix over GF(P) with dim columns; v is the null
-    vector, 1 at the free column, when the nullity is 1, else None, and a
-    nullity above 1 reads 2.  Consumes `mat`.
-
-    Gaussian elimination column by column: the rows not yet pivots keep
-    only the columns not yet eliminated.
-    """
-    echelon: list[tuple[int, list[int]]] = []  # (column, its pivot row past it, scaled)
-    free = None
-    for col in range(dim):
-        i = next((i for i, r in enumerate(mat) if r[0]), None)
-        if i is None:
-            if free is not None:
-                return 2, None
-            free = col
-            mat = [r[1:] for r in mat]
-            continue
-        piv = mat.pop(i)
-        inv = pow(piv[0], -1, P)
-        piv = [a * inv % P for a in piv[1:]]
-        echelon.append((col, piv))
-        mat = [[(a - f * b) % P for a, b in zip(r[1:], piv)] if (f := r[0]) else r[1:]
-               for r in mat]
-    if free is None:
-        return 0, None
-    x = [0] * dim
-    x[free] = 1
-    for col, piv in reversed(echelon):
-        x[col] = -sum(map(mul, piv, x[col + 1:])) % P
-    return 1, x
-
-
 # Polynomials over GF(P) are lists of residues, lowest degree first, with
 # no trailing zero; [] is zero.
 
@@ -314,82 +281,44 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def mul_mod_p(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [c % P for c in out]  # both leads are nonzero mod P, so is theirs
+def _minus_shifted(a: list[int], c: int, d: int, b: list[int]) -> list[int]:
+    """a - c * t**d * b."""
+    out = a + [0] * (len(b) + d - len(a))
+    for i, x in enumerate(b):
+        out[i + d] = (out[i + d] - c * x) % P
+    return _trim(out)
 
 
-def divmod_mod_p(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Euclidean division of a by the nonzero b."""
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, P)
-    quot = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % P
-        if c:
-            quot[i - db] = c
-            for j in range(db):
-                rem[i - db + j] = (rem[i - db + j] - c * b[j]) % P
-    return _trim(quot), _trim(rem[:db])
+def taylor_shift_mod_p(a: list[int], c: int) -> list[int]:
+    """The polynomial a(t + c), by Horner's rule in place; shifting by c and
+    then by -c gives a back."""
+    out = list(a)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = (out[j] + c * out[j + 1]) % P
+    return _trim(out)
 
 
-def eval_mod_p(a: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % P
-    return acc
+def pade_mod_p(series: list[int], k: int) -> Optional[tuple[list[int], list[int]]]:
+    """The fraction (num, den) with deg num < k, deg den <= len(series) - k,
+    den monic and den(0) != 0, whose power series starts with `series`; None
+    if there is none.
 
-
-def interpolate_mod_p(xs: list[int], values: list[list[int]]) -> list[list[int]]:
-    """For every column j, the polynomial of degree < len(xs) through the
-    points (xs[k], values[k][j]): Newton's divided differences, then Horner."""
-    coef = [list(v) for v in values]
-    for d in range(1, len(xs)):
-        for k in range(len(xs) - 1, d - 1, -1):
-            inv = pow(xs[k] - xs[k - d], -1, P)
-            coef[k] = [(a - b) * inv % P for a, b in zip(coef[k], coef[k - 1])]
-    polys = [[c] for c in coef[-1]]
-    for k in range(len(xs) - 2, -1, -1):
-        x = xs[k]
-        polys = [
-            [(c - x * p[0]) % P] + [(p[i - 1] - x * p[i]) % P for i in range(1, len(p))] + [p[-1]]
-            for c, p in zip(coef[k], polys)
-        ]
-    return [_trim(p) for p in polys]
-
-
-def cauchy_interpolate_mod_p(
-    xs: list[int], values: list[int]
-) -> Optional[tuple[list[int], list[int]]]:
-    """The fraction (num, den) through the points (xs[k], values[k]), with
-    deg num < k = (len(xs) + 1) // 2, deg den <= len(xs) - k and den monic
-    and nonzero at every point; None if there is none.
-
-    Interpolation, then the extended Euclidean algorithm on the modulus
-    prod (t - xs[k]) and the interpolant, stopped at the first remainder of
-    degree < k (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5.7).
+    The extended Euclidean algorithm on t**len(series) and the series,
+    stopped at the first remainder of degree < k (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 5.9).
     """
-    modulus = [1]
-    for x in xs:
-        modulus = mul_mod_p(modulus, [-x % P, 1])
-    k = (len(xs) + 1) // 2
-    (r1,) = interpolate_mod_p(xs, [[v] for v in values])
-    r0, s0, s1 = modulus, [], [1]
+    r0, r1, s0, s1 = [0] * len(series) + [1], _trim(list(series)), [], [1]
     while len(r1) > k:
-        q, r = divmod_mod_p(r0, r1)
-        s = _trim([(a - b) % P for a, b in zip_longest(s0, mul_mod_p(q, s1), fillvalue=0)])
-        r0, r1, s0, s1 = r1, r, s1, s
-    inv = pow(s1[-1], -1, P)
-    num, den = [c * inv % P for c in r1], [c * inv % P for c in s1]
-    if len(den) - 1 > len(xs) - k or not all(eval_mod_p(den, x) for x in xs):
+        inv = pow(r1[-1], -1, P)
+        while len(r0) >= len(r1):  # r0 becomes r0 mod r1, and s0 the cofactor of that remainder
+            c, d = r0[-1] * inv % P, len(r0) - len(r1)
+            r0, s0 = _minus_shifted(r0, c, d, r1), _minus_shifted(s0, c, d, s1)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not s1[0]:
         return None
-    return num, den
+    inv = pow(s1[-1], -1, P)
+    return [c * inv % P for c in r1], [c * inv % P for c in s1]
 
 
 def content(polys: Iterable[Poly]) -> Fraction:

@@ -11,7 +11,9 @@ from asepx.asep_core import (
     KernelError,
     Multiplicity,
     SectorBasis,
+    _factor_mod_p,
     _kernel_vector,
+    _solve_mod_p,
     basic_multiplicities,
     canonicalize_values,
     cyclic_orbit_reps,
@@ -23,7 +25,7 @@ from asepx.asep_core import (
 )
 from asepx.ctm import mp_stationary
 from asepx.mlq import mlq_state
-from asepx.scalar import P_ZERO, Poly, RatFunc, lift_polys, random_point
+from asepx.scalar import P, P_ZERO, Poly, RatFunc, lift_polys, random_point
 
 from conftest import (
     bareiss_kernel_vector,
@@ -259,17 +261,22 @@ class TestStationaryKernel:
     def test_an_early_stop_test_never_returns_a_wrong_vector(self, monkeypatch):
         import asepx.asep_core as core
 
-        # accept after the first fit: the lifts from too few points must
-        # fail the exact residual, and the solver take more points
         lifts = []
 
         def counted(polys):
             lifts.append(1)
             return lift_polys(polys)
 
-        monkeypatch.setattr(core, "_fit_holds", lambda *args: True)
         monkeypatch.setattr(core, "lift_polys", counted)
-        for counts in [(2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)]:
+        sectors = [(2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)]
+        for counts in sectors:  # the stop test accepts the first fit that is right
+            lifts.clear()
+            stationary_kernel(Multiplicity(counts))
+            assert len(lifts) == 1, counts
+        # accept every Pade fit: the lifts from too few series terms must
+        # fail the exact residual, and the solver take more terms
+        monkeypatch.setattr(core, "_fit_predicts", lambda *args: True)
+        for counts in sectors:
             m = Multiplicity(counts)
             lifts.clear()
             assert stationary_kernel(m) == bareiss_stationary(m), counts
@@ -285,6 +292,50 @@ class TestStationaryKernel:
         monkeypatch.setattr(core, "lift_polys", doubled_first)
         with pytest.raises(KernelError):
             stationary_kernel(Multiplicity((2, 1, 1)))
+
+    @pytest.mark.parametrize("mat, free, null", [
+        ([[1, 1, 0], [0, 1, 1]], [2], [1, P - 1, 1]),
+        ([[0, 2], [0, 3]], [0], [1, 0]),
+        ([[1, 0], [0, 1]], [], None),
+        ([[0, 0], [0, 0]], [0, 1], None),
+        ([[1, 2, 3]], [1, 2], None),
+    ], ids=["nullity-1", "zero-column", "full-rank", "zero-matrix", "one-row"])
+    def test_sparse_factorization(self, mat, free, null):
+        rows = [{c: a for c, a in enumerate(row) if a} for row in mat]
+        steps, got = _factor_mod_p(rows, len(mat[0]))
+        assert got == free
+        if null:  # the recorded steps solve for the pivot columns, 1 at the free one
+            x = [0] * len(null)
+            x[got[0]] = 1
+            _solve_mod_p(steps, [0] * len(mat), x)
+            assert x == null
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda dim: st.lists(
+        st.dictionaries(st.integers(0, dim - 1),
+                        st.lists(st.integers(-3, 3), max_size=3).map(Poly).filter(bool)),
+        min_size=dim - 1, max_size=dim - 1).map(lambda rows: (rows, dim))))
+    @example(([{0: poly(-2, 1), 1: poly(-2, 1)}], 2))  # rank 0 at t = 2
+    @example(([{0: poly(0, 1), 1: poly(0, 1)}, {0: poly(0, 1), 1: poly(0, 1)}], 3))  # rank 1
+    def test_matches_the_bareiss_oracle_on_random_rows(self, system):
+        rows, dim = system
+        try:
+            expected = bareiss_kernel_vector(rows, dim)
+        except KernelError:
+            with pytest.raises(KernelError):
+                _kernel_vector(rows, dim)
+            return
+        got = _kernel_vector(rows, dim)
+        j = next(j for j, p in enumerate(expected) if p)
+        assert got[j] and all(g * expected[j] == e * got[j] for g, e in zip(got, expected))
+
+    def test_three_way_on_a_ninety_orbit_sector(self):
+        m = Multiplicity((2, 2, 2, 1))
+        basis = SectorBasis(m)
+        assert len(set(cyclic_orbit_reps(basis.configs).values())) == 90
+        kernel = stationary_kernel(m)
+        assert kernel == mlq_state(m).canonical() == mp_stationary(m).canonical()
+        assert nonzero_residual(markov_sector(m, basis), basis, kernel) == []
 
     def test_full_and_reduced_paths_agree(self):
         for counts in [(1, 2, 1), (2, 1, 1), (1, 1, 1, 1)]:

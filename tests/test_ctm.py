@@ -36,7 +36,7 @@ from asepx.oscillator import (
     trace_sum,
     word_imbalance,
 )
-from asepx.scalar import P_ONE, Poly, RatFunc, qt_product, random_point
+from asepx.scalar import P_ONE, Poly, RatFunc, over_common_map, qt_product, random_point
 
 from conftest import fock_action, one_minus_t_pow, poly, rf, sparse
 from test_asep_core import EXTENDED_SECTORS
@@ -415,9 +415,24 @@ def _joint_balanced_terms(sigma):
 
 
 def _trace_value(terms):
-    """`trace_sum` at q = 1 of a sum of balanced monomials, as one reduced rational function."""
-    num, exps = trace_sum(terms, 1)
-    return RatFunc(num, qt_product(1, exps))
+    """The trace at q = 1 of a sum {one (p, e, m) per mode: coeff} over all modes,
+    as one reduced rational function.
+
+    A monomial's trace is the product of its modes' `trace_pem` closed
+    forms, so it depends only on the multiset of its (e, p) pairs: the
+    coefficients are summed per multiset, each multiset's closed forms
+    multiplied in once, and the multisets lifted to one map.
+    """
+    groups = {}
+    for key, coeff in terms.items():
+        assert all(p == m for p, _, m in key), "unbalanced word"
+        ranges = tuple(sorted((e, p) for p, e, _ in key))
+        groups[ranges] = groups.get(ranges, Poly()) + coeff
+    nums, exps = over_common_map(1, {
+        ranges: (reduce(mul, (trace_pem(p, e, 1) for e, p in ranges), coeff),
+                 Counter(k for e, p in ranges for k in range(e, e + p + 1)))
+        for ranges, coeff in groups.items()})
+    return RatFunc(sum(nums.values(), Poly()), qt_product(1, exps))
 
 
 @cache
@@ -738,11 +753,10 @@ class TestOrbitReduction:
         got = mp_stationary(m).canonical()
         monkeypatch.undo()
         # one trace_sum per balanced word and per rank-2 rotation class; in
-        # each, a monomial's trace depends only on the multiset of its (e, p)
+        # each, a monomial's trace depends only on its (e, p)
         _, words, classes = _sector_work(m)
         assert len(sums) == len(words) + len(classes)
-        multisets = [{tuple(sorted((e, p) for p, e, _ in key)) for key in terms} for terms in sums]
-        assert len(calls) == sum(len(ranges) for per_sum in multisets for ranges in per_sum)
+        assert len(calls) == sum(len({(e, p) for p, e, _ in terms}) for terms in sums)
         assert got == stationary_kernel(m)
 
 

@@ -14,15 +14,14 @@ from asepx.scalar import (
     PoleError,
     Poly,
     RatFunc,
-    cauchy_interpolate_mod_p,
-    interpolate_mod_p,
     lift_polys,
     lift_residue,
-    null_vector_mod_p,
+    pade_mod_p,
     poly_gcd,
     random_point,
     residue,
     signed_residue,
+    taylor_shift_mod_p,
 )
 
 from conftest import one_minus_t_pow, poly, rf
@@ -320,7 +319,7 @@ class TestIntFirstCoefficients:
 
 
 class TestModularLayer:
-    """The evaluation-interpolation helpers of the kernel solver."""
+    """The modular helpers of the kernel solver: lifts, Taylor shifts and Pade fits."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-LIFT_BOUND, LIFT_BOUND), st.integers(1, LIFT_BOUND))
@@ -340,29 +339,37 @@ class TestModularLayer:
         assert lift_polys([[half, 1], [third]]) == [Poly((3, 6)), Poly((-2,))]
         assert lift_polys([[1], []]) == [Poly((1,)), Poly(())]
 
-    def test_interpolation_through_every_column(self):
-        xs = [2, 3, 5, 7]
-        cols = [Poly((1, -2, 0, 3)), Poly((4, 1))]
-        values = [[p.residue_at(x) for p in cols] for x in xs]
-        assert interpolate_mod_p(xs, values) == [[residue(c) for c in p.coeffs] for p in cols]
+    @settings(max_examples=100, deadline=None)
+    @given(_small_ints, st.integers(-50, 50))
+    def test_taylor_shift_round_trip(self, coeffs, t0):
+        a = [residue(c) for c in Poly(coeffs).coeffs]
+        shifted = taylor_shift_mod_p(a, t0)
+        assert taylor_shift_mod_p(shifted, -t0) == a
+        # the shifted polynomial takes at s the value of a at s + t0
+        for s in (0, 1, 7):
+            assert Poly(shifted).residue_at(s) == Poly(a).residue_at(s + t0)
+
+    def test_taylor_shift_of_a_square(self):
+        # (t + 3)^2 = t^2 + 6t + 9
+        assert taylor_shift_mod_p([0, 0, 1], 3) == [9, 6, 1]
+        assert taylor_shift_mod_p([9, 6, 1], -3) == [0, 0, 1]
+        assert taylor_shift_mod_p([], 3) == [] and taylor_shift_mod_p([0, 0], 3) == []
 
     @settings(max_examples=100, deadline=None)
-    @given(_small_ints, _small_ints.filter(any))
-    def test_cauchy_interpolation_recovers_the_fraction(self, num, den):
+    @given(_small_ints, _small_ints.filter(lambda d: d and d[0]))
+    def test_pade_fit_recovers_the_fraction(self, num, den):
         f = RatFunc(Poly(num), Poly(den))
-        xs = [x for x in range(2, 40) if f.den.residue_at(x)][:7]
-        values = [f.num.residue_at(x) * pow(f.den.residue_at(x), -1, P) % P for x in xs]
-        assert cauchy_interpolate_mod_p(xs, values) == (
-            [residue(c) for c in f.num.coeffs], [residue(c) for c in f.den.coeffs])
+        n, d = [residue(c) for c in f.num.coeffs], [residue(c) for c in f.den.coeffs]
+        length = 2 * max(len(num), len(den)) + 1
+        series = []  # num / den as a power series: den * series = num term by term
+        inv = pow(d[0], -1, P)
+        for i in range(length):
+            known = sum(d[j] * series[i - j] for j in range(1, min(i + 1, len(d))))
+            series.append(((n[i] if i < len(n) else 0) - known) * inv % P)
+        assert pade_mod_p(series, (length + 1) // 2) == (n, d)
 
-    def test_cauchy_interpolation_refuses_a_denominator_that_vanishes(self):
-        # a fraction of degrees (1, 1) that is 0 at 2 and 3 is 0 everywhere,
-        # so it can take the value 1 at 4 only as 0/(t - 4)
-        assert cauchy_interpolate_mod_p([2, 3, 4], [0, 0, 1]) is None
-
-    def test_null_vector(self):
-        assert null_vector_mod_p([[1, 1, 0], [0, 1, 1]], 3) == (1, [1, P - 1, 1])
-        assert null_vector_mod_p([[0, 2], [0, 3]], 2) == (1, [1, 0])
-        assert null_vector_mod_p([[1, 0], [0, 1]], 2) == (0, None)
-        assert null_vector_mod_p([[0, 0], [0, 0]], 2) == (2, None)
-        assert null_vector_mod_p([[1, 2, 3]], 3) == (2, None)
+    def test_pade_fit_refuses_a_denominator_that_vanishes_at_zero(self):
+        # the series t: a fraction num/den of degrees (0, 1) with den(0) != 0
+        # and num = den * t mod t^2 has num = 0, so it is 0, not t
+        assert pade_mod_p([0, 1], 1) is None
+        assert pade_mod_p([0, 1], 2) == ([0, 1], [1])
