@@ -136,7 +136,7 @@ def markov_sector(
             # rates are positive, so no entry cancels to zero
             counts.setdefault((basis.index[tuple(target)], col), [0, 0])[k] += 1
             counts.setdefault((col, col), [0, 0])[k] -= 1
-    return {key: Poly(c) for key, c in counts.items()}
+    return {key: Poly._of((c0, c1) if c1 else (c0,)) for key, (c0, c1) in counts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,19 @@ operators (`bigM_apply`) and projects onto ASEP configurations.
 
 The pairing images of a row pair are summed by a transfer DP over the
 mask of free upper balls (`_pairing_images`), never by listing the
-pairings.  Every pairing of l lower into l' upper balls at deformation
-qeff has its weight over one denominator, prod_{k=l'-l+1}^{l'}
-(1 - qeff t^k) (`pairing_denominator`), and every key of a tensor
-vector has the same slot occupancies, so the composition and the
-projection carry polynomial numerators over one running denominator:
-a `SectorVector`, canonicalized from its numerators alone.
+pairings.  At deformation q^k, q = u/v, every pairing of l lower into l'
+upper balls has its weight over one denominator prod_{j=l'-l+1}^{l'}
+(v^k - u^k t^j), and every key of a tensor vector has the same slot
+occupancies, so the composition carries integer numerators over one
+running denominator; one integer path serves every q (q = 1 is u = v = 1).
+The numerators are Kronecker-packed as ints N(2**B) (`scalar.pack`), so
+their sums and products are big-int operations.  `bigM_apply` fixes B
+up front from an L1 bound: an application raises a key's L1 norm at most
+C(L, l) (2 max(|u|^k, v^k) l')^l-fold (`_growth`: C(L, l) rows i reach
+one output, each by at most l'^l pairings of l steps, each step's factor
+of L1 norm at most 2 max(|u|^k, v^k)).  So a packed key is 0 iff its
+numerator is, and each output key is unpacked once into the
+`SectorVector` that `project_pi` builds, canonicalized from numerators alone.
 
 The enumerative definition of the pairing rule (`enumerate_pairings`,
 `pairing_weight`) lists the pairings of one row pair one by one, and
@@ -29,12 +36,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from math import comb, lcm, prod
 from operator import mul
 from typing import Iterator, Optional
 
 from .asep_core import Config, Multiplicity, SectorBasis, SectorVector
-from .scalar import P_ONE, P_ZERO, Poly, RatFunc, RF_ZERO, one_minus_qtk, qt_product
+from .scalar import P_ONE, Poly, RatFunc, RF_ZERO, one_minus_qtk, pack, qt_product, unpack
 
 Row = tuple[int, ...]
 
@@ -93,6 +101,14 @@ def _step_stats(src: int, tgt: int, free_mask: int, L: int) -> tuple[int, int]:
     return wrapped, skipped
 
 
+def _row_pair_length(i: Row, j: Row) -> int:
+    if len(j) != len(i):
+        raise ValueError("rows must have equal length")
+    if sum(i) >= sum(j):
+        raise ValueError("need strictly fewer lower balls than upper balls")
+    return len(i)
+
+
 @lru_cache(maxsize=None)
 def enumerate_pairings(i: Row, j: Row) -> tuple[PairingOutcome, ...]:
     """All pairings of the balls of row i into free balls of row j.
@@ -101,11 +117,7 @@ def enumerate_pairings(i: Row, j: Row) -> tuple[PairingOutcome, ...]:
     ball except that a free upper ball directly above must be picked
     (the trivial pairing).  Requires |i| < |j|.
     """
-    L = len(i)
-    if len(j) != L:
-        raise ValueError("rows must have equal length")
-    if sum(i) >= sum(j):
-        raise ValueError("need strictly fewer lower balls than upper balls")
+    L = _row_pair_length(i, j)
     sources = [c for c in range(L) if i[c]]
     full_mask = 0
     for c in range(L):
@@ -161,14 +173,21 @@ def _weight_ratfunc(w: Weight) -> RatFunc:
     return RatFunc._of(num, den.scale(inv)) if num else RF_ZERO
 
 
+def _growth(u: int, v: int, L: int, li: int, lj: int) -> int:
+    """The L1 growth bound of one pairing operator (see the module docstring)."""
+    return comb(L, li) * (2 * max(abs(u), v) * lj) ** li
+
+
 def m_parts(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> tuple[Poly, Counter]:
     """`m_element` as (numerator, exponent map {k: 1} of `pairing_denominator`),
     read from `_pairing_images`; (0, {}) unless a is an image with a + b = j."""
     if not (len(i) == len(j) == len(a) == len(b)):
         raise ValueError("row length mismatch")
-    nums = dict(_pairing_images(q, i, j)) if all(x + y == z for x, y, z in zip(a, b, j)) else {}
-    exps = range(sum(j) - sum(i) + 1, sum(j) + 1) if a in nums else ()
-    return nums.get(a, P_ZERO), Counter(exps)
+    u, v = q.numerator, q.denominator
+    B = _growth(u, v, len(j), sum(i), sum(j)).bit_length() + 1
+    nums = dict(_pairing_images(u, v, i, j, B)) if all(x + y == z for x, y, z in zip(a, b, j)) else {}
+    exps = range(sum(j) - sum(i) + 1, sum(j) + 1) if (b, a) in nums else ()
+    return Poly(unpack(nums.get((b, a), 0), B)).scale(Fraction(1, v ** sum(i))), Counter(exps)
 
 
 def m_element(q: Fraction, i: Row, j: Row, a: Row, b: Row) -> RatFunc:
@@ -185,78 +204,64 @@ def pairing_denominator(qeff: Fraction, li: int, lj: int) -> Poly:
 # keyed by q: one sector needs at most 1,225 entries up to L = 7 (3,920 at
 # L = 8), while each random q of the ms-theorem check adds entries never read again
 @lru_cache(maxsize=4096)
-def _pairing_images(qeff: Fraction, i: Row, j: Row) -> tuple[tuple[Row, Poly], ...]:
-    """(image, numerator over `pairing_denominator`) for the row pair (i, j).
+def _pairing_images(u: int, v: int, i: Row, j: Row, B: int) -> tuple[tuple[tuple[Row, Row], int], ...]:
+    """((j - a, a), N(2**B)) per image a of the row pair (i, j) at q = u/v, whose
+    weight is N / prod_k (v - u t^k), the `pairing_denominator` times v^|i|.
 
     A transfer DP over the mask of free upper balls: the lower balls are
     swept left to right as in `enumerate_pairings`, and all pairings that
     leave the same free mask are summed.  Every step at the same sweep
     position sees the same number of free balls, so each contributes the
-    same factor 1 - qeff t^free to the denominator: a trivial step
+    same factor v - u t^free to the denominator: a trivial step
     multiplies its numerator by that factor, a non-trivial one by
-    (1-t) t^skipped qeff^wrapped.  Requires |i| < |j|.
+    (1-t) t^skipped (u if wrapped else v).  Requires |i| < |j|.
     """
-    L = len(i)
-    if len(j) != L:
-        raise ValueError("rows must have equal length")
-    if sum(i) >= sum(j):
-        raise ValueError("need strictly fewer lower balls than upper balls")
+    L = _row_pair_length(i, j)
     full_mask = sum(1 << c for c in range(L) if j[c])
-    one_minus_t = Poly((1, -1))
-    states = {full_mask: P_ONE}
-    nfree = sum(j)
+    states, nfree = {full_mask: 1}, sum(j)
     for src in (c for c in range(L) if i[c]):
-        trivial = one_minus_qtk(qeff, nfree)
-        nxt: dict[int, Poly] = {}
+        trivial = v - (u << B * nfree)
+        nxt: dict[int, int] = {}
         for free_mask, num in states.items():
             if free_mask >> src & 1:
                 moves = [(src, num * trivial)]
             else:
-                paired = num * one_minus_t
-                arrow = (paired, paired.scale(qeff))  # indexed by `wrapped`
+                paired = num - (num << B)
+                arrow = (paired * v, paired * u)  # indexed by `wrapped`
                 moves = []
                 for tgt in range(L):
                     if free_mask >> tgt & 1:
                         wrapped, skipped = _step_stats(src, tgt, free_mask, L)
-                        moves.append((tgt, arrow[wrapped].shift(skipped)))
+                        moves.append((tgt, arrow[wrapped] << B * skipped))
             for tgt, w in moves:
                 key = free_mask & ~(1 << tgt)
-                cur = nxt.get(key)
-                nxt[key] = w if cur is None else cur + w
+                nxt[key] = nxt.get(key, 0) + w
         states = nxt
         nfree -= 1
-    images = []
-    for free_mask, num in states.items():
-        taken = full_mask & ~free_mask
-        images.append((tuple(taken >> c & 1 for c in range(L)), num))
-    return tuple(sorted(images))
+    images = sorted((tuple((full_mask ^ f) >> c & 1 for c in range(L)), N) for f, N in states.items())
+    return tuple(((tuple(x - y for x, y in zip(j, a)), a), N) for a, N in images)
 
 
 def _apply_mcheck_at(
-    q: Fraction, vec: dict[tuple[Row, ...], Poly], pos: int
-) -> dict[tuple[Row, ...], Poly]:
-    """Apply the two-row pairing operator at tensor slots (pos, pos+1) to numerators.
+    u: int, v: int, vec: dict[tuple[Row, ...], int], pos: int, B: int
+) -> dict[tuple[Row, ...], int]:
+    """Apply the two-row pairing operator at q = u/v at tensor slots (pos, pos+1).
 
     v_i (x) v_j  ->  sum_a M^{a, j-a}_{i,j} v_{j-a} (x) v_a, where i and j
     are the rows in those slots; needs |i| < |j| in every key.  Each
-    output numerator is over one more factor pairing_denominator(q, |i|, |j|)
-    than its input, which `bigM_apply` carries.
+    output numerator, packed at t = 2**B, is over one more factor
+    prod_k (v - u t^k) than its input, which `bigM_apply` carries.
     """
-    out: dict[tuple[Row, ...], Poly] = {}
+    out, images = {}, {}  # images of each distinct (i, j), looked up once
     for key, coeff in vec.items():
-        if not coeff:
-            continue
-        i, j = key[pos], key[pos + 1]
-        for a, w in _pairing_images(q, i, j):
-            b = tuple(j[c] - a[c] for c in range(len(j)))
-            nkey = key[:pos] + (b, a) + key[pos + 2:]
-            cur = out.get(nkey)
-            new = coeff * w if cur is None else cur + coeff * w
-            if new:
-                out[nkey] = new
-            elif cur is not None:
-                del out[nkey]
-    return out
+        ij = key[pos:pos + 2]
+        if ij not in images:
+            images[ij] = _pairing_images(u, v, *ij, B)
+        head, tail = key[:pos], key[pos + 2:]
+        for ba, w in images[ij]:
+            nkey = head + ba + tail
+            out[nkey] = out.get(nkey, 0) + coeff * w
+    return {key: w for key, w in out.items() if w}
 
 
 def bigM_apply(
@@ -269,57 +274,60 @@ def bigM_apply(
     the two-row operator at slot pairs (r, r-1) for r = n down to j+1
     with deformation q^{n-r+1}.  Every key must have the same slot
     occupancies, so each application multiplies the whole vector by one
-    known `pairing_denominator`: the result is (numerators, denominator),
-    the polynomial input numerators carried over one running denominator.
+    known denominator prod_k (v^k - u^k t^j): the result is (numerators,
+    denominator), the input numerators carried over one running denominator.
     """
     occ = [sum(r) for r in next(iter(nums), ())]
     n = len(occ)
-    if any([sum(r) for r in key] != occ for key in nums):
+    if any(list(map(sum, key)) != occ for key in nums):
         raise ValueError("inconsistent slot occupancies")
-    den = P_ONE
-    for j in range(1, n):
-        for r in range(n, j, -1):
-            qeff = q ** (n - r + 1)
-            pos = n - r  # slot r sits at list index n - r
-            nums = _apply_mcheck_at(qeff, nums, pos)
-            li, lj = occ[pos], occ[pos + 1]
-            den = den * pairing_denominator(qeff, li, lj)
-            occ[pos], occ[pos + 1] = lj - li, li
-    return nums, den
+    schedule = []  # (slot index, deformation exponent, lower and upper occupancies)
+    for pos in (n - r for j in range(1, n) for r in range(n, j, -1)):  # slot r is at index n - r
+        schedule.append((pos, pos + 1, occ[pos], occ[pos + 1]))
+        occ[pos], occ[pos + 1] = occ[pos + 1] - occ[pos], occ[pos]
+    u, v = q.numerator, q.denominator
+    distinct = set(nums.values())
+    scale = lcm(*(c.denominator for p in distinct for c in p.coeffs))
+    ints = {p: [c.numerator * (scale // c.denominator) for c in p.coeffs] for p in distinct}
+    L = len(next(iter(nums))[0]) if n else 0
+    bound = max((sum(map(abs, cs)) for cs in ints.values()), default=0) * prod(
+        _growth(u ** k, v ** k, L, li, lj) for _, k, li, lj in schedule)
+    B = bound.bit_length() + 1
+    packed = {p: pack(cs, B) for p, cs in ints.items()}
+    vec = {key: packed[p] for key, p in nums.items()}
+    den = Poly((scale,))
+    for pos, k, li, lj in schedule:
+        vec = _apply_mcheck_at(u ** k, v ** k, vec, pos, B)
+        den = den * pairing_denominator(q ** k, li, lj).scale(v ** (k * li))
+    return {key: Poly._of(unpack(N, B)) for key, N in vec.items()}, den
 
 
 def project_pi(nums: dict[tuple[Row, ...], Poly], den: Poly = P_ONE) -> SectorVector:
     """Send v_{c_1} (x) ... (x) v_{c_n} to the configuration c_1 + 2 c_2 + ... + n c_n.
 
-    Numerators over the shared denominator `den` are summed per
-    configuration.  Fails if any site carries two colors (cannot happen
-    for genuine pairing outputs).
+    Each key's numerator over the shared denominator `den` is its
+    configuration's, one to one.  Fails if any site carries two colors
+    (cannot happen for genuine pairing outputs).
     """
     if not nums:
         raise ValueError("empty vector")
     some_key = next(iter(nums))
-    n = len(some_key)
-    L = len(some_key[0])
-    occupancies = tuple(sum(r) for r in some_key)
-    m0 = L - sum(occupancies)
+    occupancies = tuple(map(sum, some_key))
+    m0 = len(some_key[0]) - sum(occupancies)
     if m0 < 0:
         raise ValueError("color rows overfill the ring")
-    m = Multiplicity((m0,) + occupancies)
-    basis = SectorBasis(m)
+    basis = SectorBasis(Multiplicity((m0,) + occupancies))
     values: dict[Config, Poly] = {}
     for key, coeff in nums.items():
-        if tuple(sum(r) for r in key) != occupancies:
+        if tuple(map(sum, key)) != occupancies:
             raise ValueError("inconsistent slot occupancies")
-        sigma = [0] * L
-        for color0, row in enumerate(key):
-            for site, bit in enumerate(row):
-                if bit:
-                    if sigma[site]:
-                        raise ValueError(f"overlapping colors at site {site}")
-                    sigma[site] = color0 + 1
-        cfg = tuple(sigma)
-        cur = values.get(cfg)
-        values[cfg] = coeff if cur is None else cur + coeff
+        sigma = [0] * len(key[0])
+        for color, row in enumerate(key, 1):
+            for site in compress(range(len(row)), row):
+                if sigma[site]:
+                    raise ValueError(f"overlapping colors at site {site}")
+                sigma[site] = color
+        values[tuple(sigma)] = coeff
     return SectorVector(basis, values, den)
 
 

@@ -12,6 +12,9 @@ The variable t stays symbolic throughout.  All other parameters (q, z,
 x, y) are substituted as exact Fractions before they reach this layer,
 so no multivariate machinery is needed.
 
+Kronecker substitution: `pack` stores an integer polynomial N(t) as the one int
+N(2**B), a ring map, and `unpack` reads it back while every |coefficient| < 2**(B-1).
+
 The one modular layer: `P` is the prime 2**61 - 1, `residue` reduces a
 rational into GF(P) and `Poly.residue_at` evaluates a polynomial there.
 The point-evaluated identity checks run on these residues.  The kernel
@@ -319,6 +322,20 @@ def pade_mod_p(series: list[int], k: int) -> Optional[tuple[list[int], list[int]
         return None
     inv = pow(s1[-1], -1, P)
     return [c * inv % P for c in r1], [c * inv % P for c in s1]
+
+
+def pack(coeffs, B: int) -> int:
+    """The integer polynomial of `coeffs` (lowest degree first) at t = 2**B."""
+    return reduce(lambda acc, c: (acc << B) + c, reversed(coeffs), 0)
+
+
+def unpack(N: int, B: int) -> tuple[int, ...]:
+    """N's balanced base-2**B digits: the c of N = pack(c, B) while all |c_k| < 2**(B-1)."""
+    half, out = 1 << (B - 1), []
+    while N:
+        N, c = divmod(N + half, 1 << B)
+        out.append(c - half)
+    return tuple(out)
 
 
 def content(polys: Iterable[Poly]) -> Fraction:

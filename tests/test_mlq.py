@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -21,7 +22,9 @@ from asepx.mlq import (
     PairingOutcome,
     PairStep,
     _apply_mcheck_at,
+    _growth,
     _pairing_images,
+    _step_stats,
     _weight_ratfunc,
     bigM_apply,
     enumerate_pairings,
@@ -34,7 +37,7 @@ from asepx.mlq import (
     row_from_cols,
 )
 from asepx.oscillator import s_element
-from asepx.scalar import Poly, RatFunc, random_point
+from asepx.scalar import Poly, RatFunc, random_point, unpack
 
 from conftest import mlq_enumerate_direct, one_minus_t_pow, poly, rf, weight_rf
 
@@ -160,6 +163,20 @@ _qs = st.one_of(
 )
 
 
+def _width(q, i, j):
+    """The packing width B that `m_parts` takes for the row pair (i, j) at q."""
+    return _growth(q.numerator, q.denominator, len(j), sum(i), sum(j)).bit_length() + 1
+
+
+def _homogenized_denominator(q, li, lj):
+    """prod_k (v - u t^k) at q = u/v: the denominator of every packed image numerator."""
+    return pairing_denominator(q, li, lj).scale(q.denominator ** li)
+
+
+def _unpacked(vec, B):
+    return {key: Poly(unpack(N, B)) for key, N in vec.items()}
+
+
 class TestPairingImages:
     @settings(max_examples=80, deadline=None)
     @given(_row_pairs(), _qs)
@@ -171,14 +188,18 @@ class TestPairingImages:
         for outcome in enumerate_pairings(i, j):
             w = weight_rf(pairing_weight(outcome, q))
             brute[outcome.target] = brute.get(outcome.target, RatFunc(Poly())) + w
-        den = pairing_denominator(q, sum(i), sum(j))
-        dp = {image: RatFunc(num, den) for image, num in _pairing_images(q, i, j)}
+        B = _width(q, i, j)
+        den = _homogenized_denominator(q, sum(i), sum(j))
+        dp = {}
+        for (b, image), num in _pairing_images(q.numerator, q.denominator, i, j, B):
+            assert b == tuple(y - x for x, y in zip(image, j))
+            dp[image] = RatFunc(Poly(unpack(num, B)), den)
         assert dp == brute
 
     def test_same_errors_as_enumeration(self):
         for i, j in [((1, 1, 0), (1, 0, 1)), ((1, 1, 1), (1, 1, 0)), ((1, 0), (1, 1, 0))]:
             with pytest.raises(ValueError) as dp_err:
-                _pairing_images(Fraction(1, 2), i, j)
+                _pairing_images(1, 2, i, j, 16)
             with pytest.raises(ValueError) as enum_err:
                 enumerate_pairings(i, j)
             assert str(dp_err.value) == str(enum_err.value)
@@ -291,16 +312,18 @@ class TestMcheckApply:
     def test_contains_fixture_coefficient(self):
         q = Fraction(3, 7)
         i, j, a, b = _example_rows(1, 1)
-        out = _apply_mcheck_at(q, {(i, j): poly(1)}, 0)
-        den = pairing_denominator(q, sum(i), sum(j))
+        B = _width(q, i, j)
+        out = _unpacked(_apply_mcheck_at(3, 7, {(i, j): 1}, 0, B), B)
+        den = _homogenized_denominator(q, sum(i), sum(j))
         assert RatFunc(out[(b, a)], den) == _example_value(1, 1, q)
 
     def test_empty_row_identity_relabeling(self):
         q = Fraction(1, 2)
         j = (1, 0, 1)
         zero = (0, 0, 0)
-        out = _apply_mcheck_at(q, {(zero, j): poly(1)}, 0)
-        den = pairing_denominator(q, 0, sum(j))
+        B = _width(q, zero, j)
+        out = _unpacked(_apply_mcheck_at(1, 2, {(zero, j): 1}, 0, B), B)
+        den = _homogenized_denominator(q, 0, sum(j))
         assert {k: RatFunc(v, den) for k, v in out.items()} == {(j, zero): rf(poly(1))}
 
     def test_row_sums_match_total_weight(self):
@@ -314,8 +337,9 @@ class TestMcheckApply:
             jcols = rng.sample(range(L), m)
             i = tuple(1 if c in icols else 0 for c in range(L))
             j = tuple(1 if c in jcols else 0 for c in range(L))
-            out = _apply_mcheck_at(q, {(i, j): poly(1)}, 0)
-            den = pairing_denominator(q, l, m)
+            B = _width(q, i, j)
+            out = _unpacked(_apply_mcheck_at(2, 9, {(i, j): 1}, 0, B), B)
+            den = _homogenized_denominator(q, l, m)
             total = RatFunc(Poly())
             for v in out.values():
                 total = total + RatFunc(v, den)
@@ -335,8 +359,9 @@ class TestBigM:
         q = Fraction(2, 7)
         lower, upper = (0, 1, 0), (1, 0, 1)
         bs = BallSystem((lower, upper))
-        direct = _apply_mcheck_at(q, {(lower, upper): poly(1)}, 0)
-        den = pairing_denominator(q, 1, 2)
+        B = _width(q, lower, upper)
+        direct = _unpacked(_apply_mcheck_at(2, 7, {(lower, upper): 1}, 0, B), B)
+        den = _homogenized_denominator(q, 1, 2)
         assert bigM_apply(q, {bs.rows: poly(1)}) == (direct, den)
 
     def test_three_rows_against_direct_enumeration(self):
@@ -379,6 +404,12 @@ class TestBigM:
             for k, v in out.items():
                 expected[k] = expected.get(k, Poly()) + v * scale
         assert bigM_apply(q, inputs) == ({k: v for k, v in expected.items() if v}, den)
+        # non-integral numerators are cleared to integers and the factor joins den
+        halves = {rows: p.scale(Fraction(1, 2)) for rows, p in inputs.items()}
+        assert bigM_apply(q, halves) == ({k: v for k, v in expected.items() if v}, den.scale(2))
+        # a zero numerator contributes no key
+        with_zero = {**inputs, ((0, 1, 0, 0), (1, 1, 1, 0)): Poly()}
+        assert bigM_apply(q, with_zero) == bigM_apply(q, inputs)
 
     def test_inconsistent_slot_occupancies_rejected(self):
         vec = {((0, 1, 0), (1, 0, 1)): poly(1), ((0, 0, 0), (1, 0, 1)): poly(1)}
@@ -388,6 +419,135 @@ class TestBigM:
     def test_occupancy_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BallSystem(((1, 1, 0), (1, 0, 0)))
+
+
+@lru_cache(maxsize=None)
+def _poly_images(q, i, j):
+    """Oracle of `_pairing_images`: the same transfer DP on `Poly` numerators
+    over `pairing_denominator(q, |i|, |j|)`, as {image: numerator}."""
+    L = len(i)
+    full_mask = sum(1 << c for c in range(L) if j[c])
+    states, nfree = {full_mask: poly(1)}, sum(j)
+    for src in (c for c in range(L) if i[c]):
+        nxt = {}
+        for free_mask, num in states.items():
+            if free_mask >> src & 1:
+                moves = [(src, num * Poly((1,) + (0,) * (nfree - 1) + (-q,)))]
+            else:
+                paired = num * poly(1, -1)
+                moves = []
+                for tgt in (c for c in range(L) if free_mask >> c & 1):
+                    wrapped, skipped = _step_stats(src, tgt, free_mask, L)
+                    moves.append((tgt, paired.scale(q**wrapped).shift(skipped)))
+            for tgt, w in moves:
+                key = free_mask & ~(1 << tgt)
+                nxt[key] = nxt.get(key, Poly()) + w
+        states, nfree = nxt, nfree - 1
+    return {tuple((full_mask ^ f) >> c & 1 for c in range(L)): num for f, num in states.items()}
+
+
+def _poly_bigM(q, nums, trail=None):
+    """Oracle of `bigM_apply`: the pairing rounds composed on `Poly` numerators
+    over prod (1 - q^k t^j), the composition `mlq` ran before it packed its
+    numerators.  `trail` receives (k, l, l', numerators) per application."""
+    occ = [sum(r) for r in next(iter(nums))]
+    n, den = len(occ), poly(1)
+    for j in range(1, n):
+        for r in range(n, j, -1):
+            k, pos = n - r + 1, n - r
+            out = {}
+            for key, coeff in nums.items():
+                upper = key[pos + 1]
+                for a, w in _poly_images(q**k, key[pos], upper).items():
+                    b = tuple(y - x for x, y in zip(a, upper))
+                    nkey = key[:pos] + (b, a) + key[pos + 2:]
+                    out[nkey] = out.get(nkey, Poly()) + coeff * w
+            nums = {key: w for key, w in out.items() if w}
+            li, lj = occ[pos], occ[pos + 1]
+            den = den * pairing_denominator(q**k, li, lj)
+            occ[pos], occ[pos + 1] = lj - li, li
+            if trail is not None:
+                trail.append((k, li, lj, nums))
+    return nums, den
+
+
+SMALL_SECTORS = [m for L in range(2, 6) for n in range(1, L) for m in basic_multiplicities(n, L)]
+ORACLE_QS = [Fraction(1), Fraction(2, 5), Fraction(-3, 7), random_point(24)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_run(m, q):
+    """(trail, projected state) of the `Poly` oracle on sector m, shared by the tests below."""
+    trail = []
+    state = project_pi(*_poly_bigM(q, dict.fromkeys(mlq_module._ball_systems(m), poly(1)), trail))
+    return trail, state
+
+
+class TestPackedComposition:
+    """The packed composition against the `Poly` one it replaced."""
+
+    @pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+    def test_mlq_state_equals_the_poly_oracle(self, q):
+        # numerators over prod (v^k - u^k t^j) are the oracle's over
+        # prod (1 - q^k t^j) times prod v^{k l}, on every basic sector with L <= 5
+        for m in SMALL_SECTORS:
+            trail, oracle = _oracle_run(m, q)
+            scale = 1
+            for k, li, _, _ in trail:
+                scale *= q.denominator ** (k * li)
+            state = mlq_state(m, q)
+            assert state.nums == {c: v.scale(scale) for c, v in oracle.nums.items()}
+            assert state.den == oracle.den.scale(scale)
+
+    @pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+    def test_bound_covers_every_numerator(self, q, monkeypatch):
+        # the a priori L1 bound, applied one application at a time, covers the
+        # largest integer coefficient after each; B is derived from its end value
+        widths = []
+        apply = mlq_module._apply_mcheck_at
+
+        def recording(u, v, vec, pos, B):
+            widths.append(B)
+            return apply(u, v, vec, pos, B)
+
+        monkeypatch.setattr(mlq_module, "_apply_mcheck_at", recording)
+        u, v = q.numerator, q.denominator
+        for m in SMALL_SECTORS:
+            trail, widths[:] = _oracle_run(m, q)[0], []
+            bound, scale = 1, 1
+            for k, li, lj, nums in trail:
+                bound *= _growth(u**k, v**k, m.L, li, lj)
+                scale *= v ** (k * li)
+                largest = max(abs(c * scale) for p in nums.values() for c in p.coeffs)
+                assert largest <= bound
+            mlq_state(m, q)
+            assert set(widths) <= {bound.bit_length() + 1} and len(widths) == len(trail)
+
+    def test_no_poly_arithmetic_inside_the_operator(self, monkeypatch):
+        # on (2,1,3) the images and their application are int arithmetic alone
+        inside = []
+        for name in ("_apply_mcheck_at", "_pairing_images"):
+            fn = getattr(mlq_module, name)
+
+            def flagged(*args, fn=fn):
+                inside.append(1)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(mlq_module, name, flagged)
+        for op in ("__mul__", "__add__"):
+            fn = getattr(Poly, op)
+
+            def guarded(self, other, fn=fn, op=op):
+                assert not inside, f"Poly.{op} inside the pairing operator"
+                return fn(self, other)
+
+            monkeypatch.setattr(Poly, op, guarded)
+        _pairing_images.cache_clear()
+        for q in (Fraction(1), Fraction(2, 5)):
+            assert mlq_state(Multiplicity((2, 1, 3)), q).nums
 
 
 def _colors_of(rec: MLQRecord):
@@ -474,6 +634,13 @@ class TestMlqState:
         mlq_state(Multiplicity((3, 1, 3)), Fraction(1))
         info = _pairing_images.cache_info()
         assert info.misses == info.currsize  # nothing was evicted
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("counts", [(2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1)], ids=str)
+def test_matches_kernel_on_extended_sectors(counts):
+    m = Multiplicity(counts)
+    assert mlq_state(m).canonical() == stationary_kernel(m)
 
 
 def _trace_state(m, q):

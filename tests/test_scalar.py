@@ -16,12 +16,14 @@ from asepx.scalar import (
     RatFunc,
     lift_polys,
     lift_residue,
+    pack,
     pade_mod_p,
     poly_gcd,
     random_point,
     residue,
     signed_residue,
     taylor_shift_mod_p,
+    unpack,
 )
 
 from conftest import one_minus_t_pow, poly, rf
@@ -373,3 +375,71 @@ class TestModularLayer:
         # and num = den * t mod t^2 has num = 0, so it is 0, not t
         assert pade_mod_p([0, 1], 1) is None
         assert pade_mod_p([0, 1], 2) == ([0, 1], [1])
+
+
+def _trimmed(cs: list[int]) -> tuple[int, ...]:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Schoolbook product of coefficient tuples, independent of `Poly`."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return _trimmed(out)
+
+
+@st.composite
+def _packable(draw):
+    """(coefficients with no trailing zero, B) with every |c| < 2**(B-1)."""
+    B = draw(st.integers(2, 70))
+    edge = (1 << (B - 1)) - 1
+    c = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0]))
+    return _trimmed(draw(st.lists(c, max_size=9))), B
+
+
+class TestKroneckerPacking:
+    """`pack` stores an integer polynomial as its value at t = 2**B; `unpack` reads it back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packable())
+    def test_unpack_inverts_pack_within_the_bound(self, case):
+        coeffs, B = case
+        assert unpack(pack(coeffs, B), B) == coeffs
+
+    def test_edges(self):
+        B = 8
+        assert unpack(pack((), B), B) == () and pack((), B) == 0
+        assert unpack(pack((127, -127, 0, 127), B), B) == (127, -127, 0, 127)
+        assert unpack(pack((5, 0, -3), B), B) == (5, 0, -3)  # a negative leading coefficient
+        assert pack((1, 1), B) == 257 and pack((-1, 1), B) == 255
+        # the balanced digits reach -2**(B-1), so 128 has no digit of its own
+        assert unpack(pack((128,), B), B) == (-128, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-99, 99), max_size=6), st.lists(st.integers(-99, 99), max_size=6))
+    def test_pack_is_a_ring_map(self, a, b):
+        a, b = _trimmed(a), _trimmed(b)
+        prod = _product(a, b)
+        total = _trimmed([x + y for x, y in zip(a + (0,) * len(b), b + (0,) * len(a))])
+        B = max(map(abs, prod + total + a + b), default=0).bit_length() + 1
+        assert pack(a, B) * pack(b, B) == pack(prod, B)
+        assert unpack(pack(a, B) * pack(b, B), B) == prod
+        assert unpack(pack(a, B) + pack(b, B), B) == total
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 99), min_size=1, max_size=6).filter(any),
+           st.lists(st.integers(0, 99), min_size=1, max_size=6).filter(any))
+    def test_one_bit_short_garbles_the_product(self, a, b):
+        # nonnegative factors: the product's largest coefficient is positive, so
+        # at B = its bit length it lies at or above 2**(B-1), outside every digit
+        a, b = _trimmed(a), _trimmed(b)
+        prod = _product(a, b)
+        B = max(prod).bit_length()
+        assume(B >= 2)
+        assert unpack(pack(a, B) * pack(b, B), B) != prod
+        assert unpack(pack(a, B + 1) * pack(b, B + 1), B + 1) == prod
