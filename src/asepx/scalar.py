@@ -4,9 +4,10 @@ Every quantity that enters an exact pipeline is built from these types.
 A polynomial is an immutable tuple of coefficients indexed by degree,
 each an int when integral and a Fraction otherwise (never a float), with
 no trailing zeros (the zero polynomial has an empty tuple); so integer
-polynomials pay no Fraction normalization.  A rational function is a
-reduced fraction of two polynomials whose denominator is monic and
-nonzero; equality of canonical forms is structural equality.
+polynomials pay no Fraction normalization.  Pipelines compute on
+numerators over known denominators, products of (1 - q t^k); `RatFunc`,
+their output form, is a reduced fraction with a monic denominator, so
+equality of canonical forms is structural equality.
 
 The variable t stays symbolic throughout.  All other parameters (q, z,
 x, y) are substituted as exact Fractions before they reach this layer,
@@ -37,10 +38,6 @@ from typing import Hashable, Iterable, Mapping, Optional, Union
 _ZERO = 0
 
 CoeffLike = Union[int, Fraction]
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a zero of its denominator."""
 
 
 def _coeff(c: CoeffLike) -> Union[int, Fraction]:
@@ -390,7 +387,8 @@ def over_common_map(
 
 
 class RatFunc:
-    """Rational function in t, stored reduced with a monic denominator."""
+    """Rational function in t, reduced with a monic denominator: the output
+    form of a numerator over its known denominator, to print or compare."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -427,13 +425,8 @@ class RatFunc:
             object.__setattr__(out, name, value)
         return out
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """No pipeline adds fractions; the benchmark times `f + h`."""
         if self.num.is_zero():
             return other
         if other.num.is_zero():
@@ -443,34 +436,6 @@ class RatFunc:
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc._of(-self.num, self.den)  # zero stays over den 1
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.num.is_zero() or other.num.is_zero():
-            return RF_ZERO
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def scale(self, c: CoeffLike) -> "RatFunc":
-        """c times the fraction: a nonzero c keeps it reduced over the same monic den."""
-        if c == 0:
-            return RF_ZERO
-        return RatFunc._of(self.num.scale(c), self.den)
-
-    def eval(self, t0: Fraction) -> Fraction:
-        d = self.den.eval(t0)
-        if d == 0:
-            raise PoleError(f"pole at t = {t0}")
-        return self.num.eval(t0) / d
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -7,6 +7,8 @@ polynomial / rational-function forms.
 
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -423,11 +425,12 @@ def test_criterion_10_mlq_micro_fixtures():
         if set(rec.arrows) == arrows:
             found = rec
             break
-    p1 = RatFunc(one_minus_t_pow(1).shift(2).scale(q), Poly((1, 0, 0, 0, -q)))
-    p2 = RatFunc(one_minus_t_pow(1), Poly((1, 0, 0, -q)))
-    p3 = RatFunc(one_minus_t_pow(1).shift(1), Poly((1, 0, 0, 0, 0, 0, -q * q)))
-    p4 = RatFunc(one_minus_t_pow(1).shift(2).scale(q), Poly((1, 0, 0, 0, 0, -q)))
-    ok &= found is not None and found.weight == p1 * p2 * p3 * p4
+    nums = (one_minus_t_pow(1).shift(2).scale(q), one_minus_t_pow(1),
+            one_minus_t_pow(1).shift(1), one_minus_t_pow(1).shift(2).scale(q))
+    dens = (Poly((1, 0, 0, 0, -q)), Poly((1, 0, 0, -q)),
+            Poly((1, 0, 0, 0, 0, 0, -q * q)), Poly((1, 0, 0, 0, 0, -q)))
+    product = RatFunc(reduce(mul, nums), reduce(mul, dens))
+    ok &= found is not None and found.weight == product
     ok &= found is not None and found.config == (0, 2, 1, 3, 2, 3, 1, 0, 1)
 
     # weight table of the four-site sector at generic q

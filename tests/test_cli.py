@@ -11,6 +11,7 @@ import pytest
 from asepx.asep_core import Multiplicity
 from asepx.cli import _emit, _emit_streamed, main, run
 from asepx.mlq import iter_mlqs
+from asepx.scalar import RF_ZERO, RatFunc
 
 
 def _capture(capsys, argv):
@@ -144,6 +145,40 @@ class TestDeterminism:
         assert first == second
         data = json.loads(first)
         assert abs(sum(data["occupation"].values()) - 1.0) < 1e-9
+
+
+class TestRatFuncIsOutputOnly:
+    """The pipelines compute on numerators; a `RatFunc` is built only to print."""
+
+    COMMANDS = [
+        ["stationary", "--mult", "2,1,1,1", "--all-methods"],
+        ["stationary", "--mult", "1,2,1", "--method", "mlq", "--q", "2/5"],
+        ["stationary", "--mult", "2,1,1,1", "--method", "mlq", "--q", "2/5"],
+        ["dump-mlq", "--mult", "1,2,1", "--q", "2/5"],
+        ["verify", "ms-theorem"],
+    ]
+
+    def test_no_package_frame_adds_ratfuncs(self, capsys, monkeypatch):
+        callers = []
+        add = RatFunc.__add__
+
+        def recorded(self, other):
+            code = sys._getframe(1).f_code
+            callers.append((Path(code.co_filename).resolve(), code.co_name))
+            return add(self, other)
+
+        monkeypatch.setattr(RatFunc, "__add__", recorded)
+        RF_ZERO + RF_ZERO  # the wrapper sees its caller
+        assert callers == [(Path(__file__).resolve(), "test_no_package_frame_adds_ratfuncs")]
+        for module in [m for name, m in sys.modules.items() if name.startswith("asepx.")]:
+            for cached in vars(module).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+        for argv in self.COMMANDS:
+            assert run(argv) == 0, argv
+        capsys.readouterr()
+        package = Path(sys.modules["asepx"].__file__).resolve().parent
+        assert [c for c in callers if c[0].is_relative_to(package)] == []
 
 
 class TestSectorCommand:

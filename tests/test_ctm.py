@@ -292,12 +292,13 @@ class TestMpTrace:
     def test_hand_expansion_021(self):
         # tr(k) + tr(a+ a- k) = 1/(1-t) + (1/(1-t) - 1/(1-t^2))
         base = rf(poly(1), one_minus_t_pow(1))
-        expected = base + base - rf(poly(1), one_minus_t_pow(2))
+        expected = base + base + rf(poly(-1), one_minus_t_pow(2))
         assert _mp_value((0, 2, 1)) == expected
 
     def test_ratio_fixture(self):
-        ratio = _mp_value((0, 1, 2)) / _mp_value((0, 2, 1))
-        assert ratio == rf(poly(2, 1), poly(1, 2))
+        # tr(012) / tr(021) = (2 + t) / (1 + 2t), cross-multiplied
+        a, b = _mp_value((0, 1, 2)), _mp_value((0, 2, 1))
+        assert a.num * b.den * poly(1, 2) == b.num * a.den * poly(2, 1)
 
     def test_cyclicity(self):
         rng = random.Random(6)
@@ -326,11 +327,11 @@ def _per_key_trace(sigma):
     """Oracle: the trace summed monomial by monomial as reduced rational functions."""
     total = RatFunc(Poly())
     for key, coeff in _joint_balanced_terms(sigma).items():
-        value = RatFunc(coeff)
+        num, den = coeff, P_ONE
         for p, e, _ in key:
-            den = reduce(mul, (one_minus_t_pow(e + k) for k in range(p + 1)))
-            value = value * RatFunc(trace_pem(p, e, Fraction(1)), den)
-        total = total + value
+            num = num * trace_pem(p, e, Fraction(1))
+            den = den * reduce(mul, (one_minus_t_pow(e + k) for k in range(p + 1)))
+        total = total + RatFunc(num, den)
     return total
 
 

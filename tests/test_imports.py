@@ -5,7 +5,8 @@ and every package module imports only the modules it may.
 Stdlib `ast` scans.  The import scan covers `src/asepx` and `tests`; the
 package `__init__.py` files are exempt, because their imports are
 re-exports.  The definition scan covers `src/asepx`, where an
-`__init__.py` re-export counts as a use.
+`__init__.py` re-export counts as a use, and reads `bench/*.py` as users
+only: what the benchmark calls is used.
 """
 
 import ast
@@ -70,58 +71,83 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == ["F", "json"]
 
 
-def unused_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes, and the non-dunder methods of
-    those classes, whose name no module in `sources` uses.
+def _used_names(node: ast.AST, enclosing: frozenset = frozenset()) -> set[str]:
+    """The names, attributes, names imported from a module and names in
+    string annotations under `node`, leaving out each use of a name inside
+    a function of that same name: that is delegation, not a use."""
+    if isinstance(node, ast.Name):
+        names = {node.id}
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, ast.ImportFrom):
+        names = {a.name for a in node.names}
+    elif isinstance(node, ast.arg):
+        names = _annotation_names(node.annotation)
+    elif isinstance(node, ast.FunctionDef):
+        enclosing |= {node.name}
+        names = _annotation_names(node.returns)
+    else:
+        names = set()
+    names -= enclosing
+    for child in ast.iter_child_nodes(node):
+        names |= _used_names(child, enclosing)
+    return names
 
-    A use is a name, an attribute, a name imported from a module or a name
-    in a string annotation, anywhere in `sources`; a method is matched by
-    its name alone.
+
+def unused_definitions(sources: dict[str, str], users: tuple[str, ...] = ()) -> list[str]:
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, whose name no module in `sources` or `users` uses.
+
+    `users` are scanned for uses only, never for definitions.  A method is
+    matched by its name alone; a use of a name inside a function of that
+    name does not count (`_used_names`).
     """
-    defined: dict[str, str] = {}
+    defined: list[tuple[str, str]] = []
     used: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = f"{module}:{node.name}"
+                defined.append((node.name, f"{module}:{node.name}"))
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
-                        defined[sub.name] = f"{module}:{node.name}.{sub.name}"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used |= {a.name for a in node.names}
-            elif isinstance(node, ast.arg) and node.annotation is not None:
-                used |= _annotation_names(node.annotation)
-            elif isinstance(node, ast.FunctionDef) and node.returns:
-                used |= _annotation_names(node.returns)
-    return sorted(where for name, where in defined.items() if name not in used)
+                        defined.append((sub.name, f"{module}:{node.name}.{sub.name}"))
+        used |= _used_names(tree)
+    for source in users:
+        used |= _used_names(ast.parse(source))
+    return sorted(where for name, where in defined if name not in used)
 
 
 def test_every_package_definition_is_used():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unused_definitions(sources) == []
+    bench = tuple(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    assert unused_definitions(sources, bench) == []
 
 
 def test_scan_flags_an_unused_definition():
     sources = {
         "__init__": "from .core import exported\n",
         "core": (
-            "def exported():\n    return helper()\n"
+            "def exported():\n    return helper(), Ratio()\n"
             "def helper():\n    return Box().size()\n"
             "def dead():\n    return 0\n"
             "class Box:\n"
             "    def __repr__(self):\n        return ''\n"
             "    def size(self):\n        return 1\n"
             "    def word_for(self, mode):\n        return ()\n"
+            "    def eval(self, t):\n        return t\n"
+            "class Ratio:\n"
+            "    def eval(self, t):\n        return self.num.eval(t)\n"
         ),
     }
-    assert unused_definitions(sources) == ["core:Box.word_for", "core:dead"]
+    # Ratio.eval only delegates to Box.eval, so neither is used
+    assert unused_definitions(sources) == [
+        "core:Box.eval", "core:Box.word_for", "core:Ratio.eval", "core:dead"
+    ]
+    # a caller outside the package uses eval and defines nothing
+    bench = ("def timed():\n    return Box().eval(2)\n",)
+    assert unused_definitions(sources, bench) == ["core:Box.word_for", "core:dead"]
 
 
 # the package modules each module imports: the three stationary

@@ -2,8 +2,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ from asepx.mlq import (
     row_from_cols,
 )
 from asepx.oscillator import s_element
-from asepx.scalar import Poly, RatFunc, random_point, unpack
+from asepx.scalar import RF_ZERO, Poly, RatFunc, random_point, unpack
 
 from conftest import mlq_enumerate_direct, one_minus_t_pow, poly, rf, weight_rf
 
@@ -65,23 +66,23 @@ def _weight_table(i, j, order, qeff):
             if col in free:
                 skipped += 1
 
-    def rec(idx, free, acc):
+    def rec(idx, free, num, den):
         if idx == len(order):
             taken = frozenset(c for c in range(L) if j[c]) - free
             image = tuple(1 if c in taken else 0 for c in range(L))
-            result[image] = result.get(image, RatFunc(Poly())) + acc
+            result[image] = result.get(image, RatFunc(Poly())) + RatFunc(num, den)
             return
         src = sources[order[idx]]
         if src in free:
-            rec(idx + 1, free - {src}, acc)
+            rec(idx + 1, free - {src}, num, den)
             return
         for tgt in sorted(free):
             wrapped, skipped = walk_stats(src, tgt, free)
-            num = one_minus_t_pow(1).shift(skipped).scale(qeff**wrapped)
-            den = Poly((1,) + (0,) * (len(free) - 1) + (-qeff,))
-            rec(idx + 1, free - {tgt}, acc * RatFunc(num, den))
+            step = one_minus_t_pow(1).shift(skipped).scale(qeff**wrapped)
+            rec(idx + 1, free - {tgt}, num * step,
+                den * Poly((1,) + (0,) * (len(free) - 1) + (-qeff,)))
 
-    rec(0, frozenset(c for c in range(L) if j[c]), rf(poly(1)))
+    rec(0, frozenset(c for c in range(L) if j[c]), poly(1), poly(1))
     return result
 
 
@@ -263,11 +264,11 @@ class TestPairingWeight:
                 found = rec
                 break
         assert found is not None
-        p1 = RatFunc(one_minus_t_pow(1).shift(2).scale(q), Poly((1, 0, 0, 0, -q)))
-        p2 = RatFunc(one_minus_t_pow(1), Poly((1, 0, 0, -q)))
-        p3 = RatFunc(one_minus_t_pow(1).shift(1), Poly((1, 0, 0, 0, 0, 0, -q * q)))
-        p4 = RatFunc(one_minus_t_pow(1).shift(2).scale(q), Poly((1, 0, 0, 0, 0, -q)))
-        assert found.weight == p1 * p2 * p3 * p4
+        nums = (one_minus_t_pow(1).shift(2).scale(q), one_minus_t_pow(1),
+                one_minus_t_pow(1).shift(1), one_minus_t_pow(1).shift(2).scale(q))
+        dens = (Poly((1, 0, 0, 0, -q)), Poly((1, 0, 0, -q)),
+                Poly((1, 0, 0, 0, 0, 0, -q * q)), Poly((1, 0, 0, 0, 0, -q)))
+        assert found.weight == RatFunc(reduce(mul, nums), reduce(mul, dens))
         assert found.config == (0, 2, 1, 3, 2, 3, 1, 0, 1)
 
 
@@ -299,7 +300,7 @@ class TestMElement:
 
     def test_vanishes_unless_rows_split(self):
         q = Fraction(1, 2)
-        assert m_element(q, (1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 1, 0)).is_zero()
+        assert m_element(q, (1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 1, 0)) == RF_ZERO
 
     def test_empty_lower_row_is_delta(self):
         q = Fraction(1, 3)
@@ -572,20 +573,18 @@ class TestProjection:
         state = mlq_state(m, Fraction(1))
         basis = SectorBasis(m)
         assert set(state.values) <= set(basis.configs)
-        assert all(v for v in state.values.values())
+        assert RF_ZERO not in state.values.values()
 
 
 class TestMlqState:
     def test_four_site_fixture(self):
         # proportional to (1+t)^2|1012> + (1+t+2t^2)|1021> + (2+t+t^2)|2011>
         state = mlq_state(Multiplicity((1, 2, 1)), Fraction(1))
+        # v[c] / v[1012] == p_c / p1012, cross-multiplied
         v = state.values
-        p1012 = rf(poly(1, 2, 1))
-        p1021 = rf(poly(1, 1, 2))
-        p2011 = rf(poly(2, 1, 1))
-        scale = v[(1, 0, 1, 2)] / p1012
-        assert v[(1, 0, 2, 1)] == p1021 * scale
-        assert v[(2, 0, 1, 1)] == p2011 * scale
+        ref, p1012 = v[(1, 0, 1, 2)], poly(1, 2, 1)
+        for config, p in (((1, 0, 2, 1), poly(1, 1, 2)), ((2, 0, 1, 1), poly(2, 1, 1))):
+            assert v[config].num * ref.den * p1012 == p * ref.num * v[config].den
 
     def test_single_species_uniform(self):
         for counts in [(2, 1), (2, 2), (1, 3)]:
@@ -659,13 +658,14 @@ def _trace_state(m, q):
                     a = row_from_cols(cols, L)
                     b = tuple(u - x for u, x in zip(upper, a))
                     nkey = key[:pos] + (b, a) + key[pos + 2:]
-                    out[nkey] = out.get(nkey, rf(poly())) + w * s_element(qeff, lower, upper, a, b)
+                    s = s_element(qeff, lower, upper, a, b)
+                    out[nkey] = out.get(nkey, rf(poly())) + RatFunc(w.num * s.num, w.den * s.den)
             vec = out
     state = {}
     for key, w in vec.items():
         config = tuple(sum(c * row[s] for c, row in enumerate(key, 1)) for s in range(L))
         state[config] = state.get(config, rf(poly())) + w
-    return {c: v for c, v in state.items() if v}
+    return {c: v for c, v in state.items() if v != RF_ZERO}
 
 
 class TestQueueTraceIdentity:
