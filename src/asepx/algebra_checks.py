@@ -74,6 +74,7 @@ from .oscillator import (
     _window_report,
     multimode_words_mul,
     normal_order,
+    require_window,
     s_parts,
 )
 from .scalar import (
@@ -621,6 +622,8 @@ def run_check(
     if trials < 1 or n < 1:
         raise ValueError(f"need trials >= 1 and n >= 1, got trials={trials}, n={n}")
     trunc = FockTruncation(fock_dim)
+    if kind in ("rtt", "zf", "hat"):  # before any layer operator is built
+        require_window(trunc.safe_window(2))
     reports: list[CheckReport] = []
     if kind == "ybe":
         for x, y, t in _draw_points(seed, trials):

@@ -4,8 +4,8 @@ A ball system is a stack of 0/1 rows with strictly decreasing
 occupancies l_1 > l_2 > ... > l_n (row 1 on top).  Pairing a lower row
 into the row above it produces weighted injections; the generating
 function of the weights is a linear operator between row spaces
-(`_apply_mcheck_at`), and the whole construction composes those
-operators (`bigM_apply`) and projects onto ASEP configurations.
+(`_apply_mcheck_at`); `bigM_apply` composes those operators row by row,
+and `project_pi` projects the result onto ASEP configurations.
 
 The pairing images of a row pair are summed by a transfer DP over the
 mask of free upper balls (`_pairing_images`), never by listing the
@@ -14,14 +14,15 @@ upper balls has its weight over one denominator prod_{j=l'-l+1}^{l'}
 (v^k - u^k t^j), and every key of a tensor vector has the same slot
 occupancies, so the composition carries integer numerators over one
 running denominator; one integer path serves every q (q = 1 is u = v = 1).
-The numerators are Kronecker-packed as ints N(2**B) (`scalar.pack`), so
-their sums and products are big-int operations.  `bigM_apply` fixes B
-up front from an L1 bound: an application raises a key's L1 norm at most
+The DP builds the numerators Kronecker-packed, as ints N(2**B), so their
+sums and products are big-int operations.  `bigM_apply` fixes B up front
+from an L1 bound: an application raises a key's L1 norm at most
 C(L, l) (2 max(|u|^k, v^k) l')^l-fold (`_growth`: C(L, l) rows i reach
 one output, each by at most l'^l pairings of l steps, each step's factor
-of L1 norm at most 2 max(|u|^k, v^k)).  So a packed key is 0 iff its
-numerator is, and each output key is unpacked once into the
-`SectorVector` that `project_pi` builds, canonicalized from numerators alone.
+of L1 norm at most 2 max(|u|^k, v^k)), and tensoring in rows only copies
+keys.  So a packed key is 0 iff its numerator is, and each output key is
+unpacked once into the `SectorVector` that `project_pi` builds,
+canonicalized from numerators alone.
 
 The enumerative definition of the pairing rule (`enumerate_pairings`,
 `pairing_weight`) lists the pairings of one row pair one by one, and
@@ -37,12 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, compress, product
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import mul
 from typing import Iterator, Optional
 
 from .asep_core import Config, Multiplicity, SectorBasis, SectorVector
-from .scalar import P_ONE, Poly, RatFunc, RF_ZERO, one_minus_qtk, pack, qt_product, unpack
+from .scalar import P_ONE, Poly, RatFunc, RF_ZERO, one_minus_qtk, qt_product, unpack
 
 Row = tuple[int, ...]
 
@@ -265,38 +266,35 @@ def _apply_mcheck_at(
 
 
 def bigM_apply(
-    q: Fraction, nums: dict[tuple[Row, ...], Poly]
+    q: Fraction, slots: list[list[Row]]
 ) -> tuple[dict[tuple[Row, ...], Poly], Poly]:
-    """Full pairing operator: all pairing rounds composed on an n-row tensor vector.
+    """Full pairing operator on the sum of all row stacks, one row list per slot.
 
-    Input slots hold ball rows (b_n, ..., b_1) left to right; the output
-    slots hold the color position rows (c_1, ..., c_n).  Round j applies
-    the two-row operator at slot pairs (r, r-1) for r = n down to j+1
-    with deformation q^{n-r+1}.  Every key must have the same slot
-    occupancies, so each application multiplies the whole vector by one
-    known denominator prod_k (v^k - u^k t^j): the result is (numerators,
-    denominator), the input numerators carried over one running denominator.
+    Slot 0 holds the b_n rows and the last slot the b_1 rows; the rows of
+    a slot share one occupancy, and the occupancies rise bottom-up.  The
+    output slots hold the color position rows (c_1, ..., c_n).  Round j
+    of the queues applies the two-row operator at slot pairs (pos, pos+1),
+    pos = 0, ..., n-j-1, with deformation q^{pos+1}; operators at disjoint
+    slots commute, so they run in staircase order 0 | 1 0 | 2 1 0 | ...,
+    and each slot's rows are tensored in just before its first operator.
+    Each application multiplies the whole vector by one known denominator
+    prod_k (v^k - u^k t^j): the result is (integer numerators, denominator).
     """
-    occ = [sum(r) for r in next(iter(nums), ())]
-    n = len(occ)
-    if any(list(map(sum, key)) != occ for key in nums):
-        raise ValueError("inconsistent slot occupancies")
-    schedule = []  # (slot index, deformation exponent, lower and upper occupancies)
-    for pos in (n - r for j in range(1, n) for r in range(n, j, -1)):  # slot r is at index n - r
+    occ = [sum(rows[0]) for rows in slots]
+    if any(sum(r) != l for rows, l in zip(slots, occ) for r in rows) or occ != sorted(set(occ)):
+        raise ValueError("each slot needs rows of one occupancy, rising bottom-up")
+    schedule = []  # in staircase order: (slot index, deformation exponent, occupancies)
+    for pos in (p for s in range(len(slots)) for p in range(s - 1, -1, -1)):
         schedule.append((pos, pos + 1, occ[pos], occ[pos + 1]))
         occ[pos], occ[pos + 1] = occ[pos + 1] - occ[pos], occ[pos]
     u, v = q.numerator, q.denominator
-    distinct = set(nums.values())
-    scale = lcm(*(c.denominator for p in distinct for c in p.coeffs))
-    ints = {p: [c.numerator * (scale // c.denominator) for c in p.coeffs] for p in distinct}
-    L = len(next(iter(nums))[0]) if n else 0
-    bound = max((sum(map(abs, cs)) for cs in ints.values()), default=0) * prod(
-        _growth(u ** k, v ** k, L, li, lj) for _, k, li, lj in schedule)
-    B = bound.bit_length() + 1
-    packed = {p: pack(cs, B) for p, cs in ints.items()}
-    vec = {key: packed[p] for key, p in nums.items()}
-    den = Poly((scale,))
+    L = len(slots[0][0])
+    B = prod(_growth(u ** k, v ** k, L, li, lj) for _, k, li, lj in schedule).bit_length() + 1
+    vec, width, den = {(row,): 1 for row in slots[0]}, 1, P_ONE
     for pos, k, li, lj in schedule:
+        if pos + 1 == width:  # the first operator on slot pos + 1
+            vec = {key + (row,): N for key, N in vec.items() for row in slots[width]}
+            width += 1
         vec = _apply_mcheck_at(u ** k, v ** k, vec, pos, B)
         den = den * pairing_denominator(q ** k, li, lj).scale(v ** (k * li))
     return {key: Poly._of(unpack(N, B)) for key, N in vec.items()}, den
@@ -331,13 +329,11 @@ def project_pi(nums: dict[tuple[Row, ...], Poly], den: Poly = P_ONE) -> SectorVe
     return SectorVector(basis, values, den)
 
 
-def _ball_systems(m: Multiplicity) -> Iterator[tuple[Row, ...]]:
-    """All (b_n, ..., b_1) row stacks for the sector content m."""
+def _slot_rows(m: Multiplicity) -> list[list[Row]]:
+    """The row choices of each slot for the sector content m: b_n's first, b_1's last."""
     lv = m.l_values()
-    return product(*(
-        [row_from_cols(cols, m.L) for cols in combinations(range(m.L), lv[i])]
-        for i in range(m.n, 0, -1)  # l_n, ..., l_1
-    ))
+    return [[row_from_cols(cols, m.L) for cols in combinations(range(m.L), lv[i])]
+            for i in range(m.n, 0, -1)]  # l_n, ..., l_1
 
 
 def mlq_state(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:
@@ -347,7 +343,7 @@ def mlq_state(m: Multiplicity, q: Fraction = Fraction(1)) -> SectorVector:
     """
     if not m.is_basic:
         raise ValueError("sector must be basic")
-    return project_pi(*bigM_apply(q, dict.fromkeys(_ball_systems(m), P_ONE)))
+    return project_pi(*bigM_apply(q, _slot_rows(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +377,7 @@ def iter_mlqs(
     """
     if not m.is_basic:
         raise ValueError("sector must be basic")
-    stacks = [ball_system.rows] if ball_system is not None else _ball_systems(m)
+    stacks = [ball_system.rows] if ball_system is not None else product(*_slot_rows(m))
     qpow = [q**k for k in range(m.n + 1)]
     moves: dict = {}  # (row, upper row, r, deformation) -> its pairings, walked once per call
     for stack in stacks:

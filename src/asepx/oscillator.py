@@ -317,6 +317,15 @@ def _mode_vector(word: OscWord, shift: int, window: int, t: int) -> tuple[int, .
     return tuple(vals)
 
 
+def require_window(window: int) -> None:
+    """Refuse a safe window below 1: it would compare at most the vacuum."""
+    if window < 1:
+        raise ValueError(
+            f"safe window {window} leaves no truncation-free level to compare;"
+            " need a Fock dimension of at least 4"
+        )
+
+
 def multimode_sum_is_zero(terms: Iterable[EvalTerm], window: int, t: int) -> bool:
     """Zero test mod P for sum_k c_k * (tensor of mode words) on the window.
 
@@ -327,14 +336,9 @@ def multimode_sum_is_zero(terms: Iterable[EvalTerm], window: int, t: int) -> boo
     term is split along one echelon basis of that mode's window rows.
     Products of basis rows are independent, so the sum is zero iff no
     term survives.  Every term must carry the same number of mode
-    words.  A window below 1 would compare at most the vacuum, so it is
-    refused.
+    words.  The window must pass `require_window`.
     """
-    if window < 1:
-        raise ValueError(
-            f"safe window {window} leaves no truncation-free level to compare;"
-            " need a Fock dimension of at least 4"
-        )
+    require_window(window)
     # {(basis indices of the reduced modes, words of the others): coeff}
     state: dict[tuple[tuple[int, ...], ModeWords], int] = {}
     for coeff, words in terms:

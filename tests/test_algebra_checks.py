@@ -534,6 +534,20 @@ class TestRunCheck:
             run_check(kind, **kwargs)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["rtt", "zf", "hat"])
+    def test_empty_window_is_refused_before_any_layer_operator(self, kind, dim, monkeypatch):
+        # at n = 7 building the layer operators alone takes seconds
+        import asepx.algebra_checks as checks
+
+        def forbidden(*args):
+            raise AssertionError("layer operator built")
+
+        monkeypatch.setattr(checks, "build_X", forbidden)
+        monkeypatch.setattr(checks, "build_T", forbidden)
+        with pytest.raises(ValueError, match="need a Fock dimension of at least 4"):
+            run_check(kind, n=7, fock_dim=dim)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize(
         "check",
         [

@@ -3,7 +3,8 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from math import comb, prod
+from itertools import combinations, permutations, product
 from operator import mul
 
 import pytest
@@ -352,18 +353,16 @@ class TestMcheckApply:
 
 class TestBigM:
     def test_single_row_is_identity(self):
-        bs = BallSystem(((1, 0, 1),))
-        out = bigM_apply(Fraction(1), {bs.rows: poly(1)})
+        out = bigM_apply(Fraction(1), [[(1, 0, 1)]])
         assert out == ({((1, 0, 1),): poly(1)}, poly(1))
 
     def test_two_rows_single_application(self):
         q = Fraction(2, 7)
         lower, upper = (0, 1, 0), (1, 0, 1)
-        bs = BallSystem((lower, upper))
         B = _width(q, lower, upper)
         direct = _unpacked(_apply_mcheck_at(2, 7, {(lower, upper): 1}, 0, B), B)
         den = _homogenized_denominator(q, 1, 2)
-        assert bigM_apply(q, {bs.rows: poly(1)}) == (direct, den)
+        assert bigM_apply(q, [[lower], [upper]]) == (direct, den)
 
     def test_three_rows_against_direct_enumeration(self):
         q = Fraction(2, 5)
@@ -375,7 +374,7 @@ class TestBigM:
                 (0, 1, 1, 1, 1, 1, 1, 0, 1),
             )
         )
-        out, den = bigM_apply(q, {bs.rows: poly(1)})
+        out, den = bigM_apply(q, [[row] for row in bs.rows])
         # color rows of the worked example: 3 at {3,5}, 2 at {1,4}, 1 at {2,6,8}
         c1 = (0, 0, 1, 0, 0, 0, 1, 0, 1)
         c2 = (0, 1, 0, 0, 1, 0, 0, 0, 0)
@@ -392,30 +391,27 @@ class TestBigM:
                 brute = brute + rec.weight
         assert RatFunc(out[(c1, c2, c3)], den) == brute
 
-    def test_linear_in_polynomial_inputs(self):
-        # keys with unequal numerators are scaled and summed
+    def test_slots_sum_the_stacks(self):
+        # a slot of several rows is the sum of the single-row stacks it spans
         q = Fraction(2, 7)
-        inputs = {
-            ((0, 1, 0, 0), (1, 0, 1, 1)): poly(3, 1),
-            ((1, 0, 0, 0), (1, 0, 1, 1)): one_minus_t_pow(3),
-        }
+        lowers, uppers = [(0, 1, 0, 0), (1, 0, 0, 0)], [(1, 0, 1, 1), (1, 1, 1, 0)]
         expected = {}
-        for rows, scale in inputs.items():
-            out, den = bigM_apply(q, {rows: poly(1)})
+        for lower, upper in product(lowers, uppers):
+            out, den = bigM_apply(q, [[lower], [upper]])
             for k, v in out.items():
-                expected[k] = expected.get(k, Poly()) + v * scale
-        assert bigM_apply(q, inputs) == ({k: v for k, v in expected.items() if v}, den)
-        # non-integral numerators are cleared to integers and the factor joins den
-        halves = {rows: p.scale(Fraction(1, 2)) for rows, p in inputs.items()}
-        assert bigM_apply(q, halves) == ({k: v for k, v in expected.items() if v}, den.scale(2))
-        # a zero numerator contributes no key
-        with_zero = {**inputs, ((0, 1, 0, 0), (1, 1, 1, 0)): Poly()}
-        assert bigM_apply(q, with_zero) == bigM_apply(q, inputs)
+                expected[k] = expected.get(k, Poly()) + v
+        assert bigM_apply(q, [lowers, uppers]) == ({k: v for k, v in expected.items() if v}, den)
 
     def test_inconsistent_slot_occupancies_rejected(self):
-        vec = {((0, 1, 0), (1, 0, 1)): poly(1), ((0, 0, 0), (1, 0, 1)): poly(1)}
-        with pytest.raises(ValueError):
-            bigM_apply(Fraction(1), vec)
+        with pytest.raises(ValueError, match="one occupancy"):
+            bigM_apply(Fraction(1), [[(0, 1, 0), (0, 0, 0)], [(1, 0, 1)]])
+
+    @pytest.mark.parametrize("slots", [[[(1, 1, 0)], [(1, 0, 0)]], [[(1, 0, 0)], [(0, 1, 0)]]],
+                             ids=["falling", "equal"])
+    def test_occupancies_must_rise_bottom_up(self, slots):
+        # refused up front, not by the first pairing operator
+        with pytest.raises(ValueError, match="rising bottom-up"):
+            bigM_apply(Fraction(1), slots)
 
     def test_occupancy_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -449,8 +445,9 @@ def _poly_images(q, i, j):
 
 def _poly_bigM(q, nums, trail=None):
     """Oracle of `bigM_apply`: the pairing rounds composed on `Poly` numerators
-    over prod (1 - q^k t^j), the composition `mlq` ran before it packed its
-    numerators.  `trail` receives (k, l, l', numerators) per application."""
+    over prod (1 - q^k t^j), round by round on the full tensor product of the
+    stacks, as `mlq` ran before it packed its numerators and built the queues
+    row by row.  `trail` receives (k, l, l', numerators) per application."""
     occ = [sum(r) for r in next(iter(nums))]
     n, den = len(occ), poly(1)
     for j in range(1, n):
@@ -480,7 +477,7 @@ ORACLE_QS = [Fraction(1), Fraction(2, 5), Fraction(-3, 7), random_point(24)]
 def _oracle_run(m, q):
     """(trail, projected state) of the `Poly` oracle on sector m, shared by the tests below."""
     trail = []
-    state = project_pi(*_poly_bigM(q, dict.fromkeys(mlq_module._ball_systems(m), poly(1)), trail))
+    state = project_pi(*_poly_bigM(q, dict.fromkeys(product(*mlq_module._slot_rows(m)), poly(1)), trail))
     return trail, state
 
 
@@ -549,6 +546,42 @@ class TestPackedComposition:
         _pairing_images.cache_clear()
         for q in (Fraction(1), Fraction(2, 5)):
             assert mlq_state(Multiplicity((2, 1, 3)), q).nums
+
+
+class TestStaircase:
+    """`bigM_apply` builds the queues row by row, never the full product of the stacks."""
+
+    def test_largest_input_is_below_the_full_product(self, monkeypatch):
+        sizes = []
+        apply = mlq_module._apply_mcheck_at
+
+        def recording(u, v, vec, pos, B):
+            sizes.append(len(vec))
+            return apply(u, v, vec, pos, B)
+
+        monkeypatch.setattr(mlq_module, "_apply_mcheck_at", recording)
+        m = Multiplicity((1, 1, 1, 1, 1))
+        mlq_state(m)
+        # slots of 5, 10, 10 and 5 rows: the full product has 2,500 stacks,
+        # which the round-by-round order fed to its first application
+        assert sizes == [50, 200, 150, 300, 360, 300]
+        assert max(sizes) < prod(map(len, mlq_module._slot_rows(m)))
+
+    @staticmethod
+    def _partition_identity(m, q):
+        """The numerators of `mlq_state(m, q)` sum to prod_i C(L, l_i) times its denominator."""
+        state = mlq_state(m, q)
+        stacks = prod(comb(m.L, l) for l in m.l_values()[1:])
+        return sum(state.nums.values(), Poly()) == state.den.scale(stacks)
+
+    @pytest.mark.parametrize("m", SMALL_SECTORS, ids=lambda m: ",".join(map(str, m.counts)))
+    def test_partition_identity_at_unit_q(self, m):
+        # at q = 1 each row pair's pairing weights sum to 1, so every stack
+        # contributes 1; a slot tensored in twice or skipped breaks the count
+        assert self._partition_identity(m, Fraction(1))
+
+    def test_partition_identity_fails_off_unit_q(self):
+        assert not self._partition_identity(Multiplicity((2, 1, 3)), Fraction(2, 5))
 
 
 def _colors_of(rec: MLQRecord):
@@ -636,7 +669,11 @@ class TestMlqState:
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("counts", [(2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1)], ids=str)
+@pytest.mark.parametrize(
+    "counts",
+    [(2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1)] + [m.counts for m in basic_multiplicities(5, 7)],
+    ids=str,
+)
 def test_matches_kernel_on_extended_sectors(counts):
     m = Multiplicity(counts)
     assert mlq_state(m).canonical() == stationary_kernel(m)
@@ -647,7 +684,7 @@ def _trace_state(m, q):
     `bigM_apply`, with each image a of a row pair (i, j) weighted by the
     strange five-vertex trace `s_element` instead of the pairing sums."""
     n, L = m.n, m.L
-    vec = dict.fromkeys(mlq_module._ball_systems(m), rf(poly(1)))
+    vec = dict.fromkeys(product(*mlq_module._slot_rows(m)), rf(poly(1)))
     for j in range(1, n):
         for r in range(n, j, -1):
             qeff, pos = q ** (n - r + 1), n - r

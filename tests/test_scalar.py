@@ -13,7 +13,6 @@ from asepx.scalar import (
     RatFunc,
     lift_polys,
     lift_residue,
-    pack,
     pade_mod_p,
     poly_gcd,
     random_point,
@@ -348,6 +347,11 @@ def _trimmed(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
+def pack(coeffs, B: int) -> int:
+    """The integer polynomial of `coeffs` (lowest degree first) at t = 2**B."""
+    return sum(c << B * k for k, c in enumerate(coeffs))
+
+
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Schoolbook product of coefficient tuples, independent of `Poly`."""
     out = [0] * max(len(a) + len(b) - 1, 0)
@@ -367,7 +371,7 @@ def _packable(draw):
 
 
 class TestKroneckerPacking:
-    """`pack` stores an integer polynomial as its value at t = 2**B; `unpack` reads it back."""
+    """`unpack` reads back an integer polynomial stored as its value at t = 2**B (`pack`)."""
 
     @settings(max_examples=300, deadline=None)
     @given(_packable())
